@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,6 +25,8 @@ from .lti import (
     classify_roots,
     is_stable,
     poly_roots,
+    stacked_roots,
+    tf_eval_grid,
 )
 from .loops import LoopSet, outer_loop_ct
 from .params import DObParams, OuterGains, per_sample_gain
@@ -48,8 +49,8 @@ __all__ = [
     "nyquist_t_magnitude",
 ]
 
-# Peak search ties within this relative band resolve to the Nyquist endpoint
-# (any maximizer of an exactly flat magnitude is equally valid).
+# Peak search ties within this relative band resolve to the Nyquist endpoint,
+# then to DC (any maximizer of an exactly flat magnitude is equally valid).
 PEAK_TIE_RTOL = 1e-12
 
 # A root this close to the frequency contour is treated as sitting on it.
@@ -96,10 +97,15 @@ def sensitivity_peak(
 ) -> tuple[float, float]:
     """Worst-case magnitude over frequency and where it occurs.
 
-    A dense grid (including the exact Nyquist endpoint for sampled systems)
-    brackets the maximum and golden-section refines it.  Ties within
-    PEAK_TIE_RTOL resolve to the Nyquist endpoint so the exactly flat case
-    reports the conventional frequency.  Requires a strictly stable system.
+    A dense grid, evaluated as one array, brackets the maximum and
+    golden-section refines it.  Requires a strictly stable system.
+
+    For sampled systems the grid spans [0, pi/ts] and includes both
+    endpoints.  Any candidate within PEAK_TIE_RTOL (relative) of the largest
+    magnitude found counts as a tie, and ties resolve in this order: the
+    Nyquist endpoint first, so the exactly flat case reports the
+    conventional frequency; then DC, so a maximum at DC is not moved off it
+    by last-digit rounding differences; then the grid or refined point.
     """
     verdict = is_stable(tf)
     if verdict.stability is not Stability.STABLE:
@@ -113,28 +119,30 @@ def sensitivity_peak(
     def mag(w: float) -> float:
         return abs(tf.at_frequency(w))
 
+    def grid_peak(om: np.ndarray):
+        _, num, den = tf_eval_grid(tf, om)
+        mags = np.abs(num / den)
+        i = int(np.argmax(mags))
+        w_ref, m_ref = _golden_max(mag, om[max(i - 1, 0)], om[min(i + 1, len(om) - 1)])
+        candidates = [(float(om[i]), float(mags[i])), (float(w_ref), float(m_ref))]
+        return mags, max(candidates, key=lambda c: c[1])
+
     if tf.is_discrete:
         nyq = tf.nyquist
-        om = np.linspace(0.0, nyq, grid_points)
-        mags = np.array([mag(w) for w in om])
-        i = int(np.argmax(mags))
-        lo = om[max(i - 1, 0)]
-        hi = om[min(i + 1, len(om) - 1)]
-        w_ref, m_ref = _golden_max(mag, lo, hi)
-        candidates = [(nyq, mags[-1]), (om[i], mags[i]), (w_ref, m_ref)]
-        w_best, m_best = max(candidates, key=lambda c: c[1])
-        if mags[-1] >= m_best - PEAK_TIE_RTOL * max(m_best, 1e-300):
+        mags, (w_best, m_best) = grid_peak(np.linspace(0.0, nyq, grid_points))
+        top = max(m_best, mags[-1])
+        floor = top - PEAK_TIE_RTOL * max(top, 1e-300)
+        if mags[-1] >= floor:
             return nyq, float(mags[-1])
-        return float(w_best), float(m_best)
+        if mags[0] >= floor:
+            return 0.0, float(mags[0])
+        return w_best, m_best
 
     root_mags = [abs(r) for r in (*tf.zeros(), *tf.poles()) if abs(r) > 0.0]
     lo = min(root_mags) / 1e3 if root_mags else 1e-3
     hi = max(root_mags) * 1e3 if root_mags else 1e3
-    om = np.logspace(math.log10(lo), math.log10(hi), grid_points)
-    mags = np.array([mag(w) for w in om])
-    i = int(np.argmax(mags))
-    w_ref, m_ref = _golden_max(mag, om[max(i - 1, 0)], om[min(i + 1, len(om) - 1)])
-    candidates = [(float(om[i]), float(mags[i])), (float(w_ref), float(m_ref))]
+    _, best = grid_peak(np.logspace(math.log10(lo), math.log10(hi), grid_points))
+    candidates = [best]
     try:
         candidates.append((0.0, mag(0.0)))
     except ValueError:
@@ -543,40 +551,45 @@ class RootLocusTable:
         return sum(1 for a, b in zip(flags[:-1], flags[1:]) if a != b)
 
 
-def _locus_point(
-    build_loop: Callable[[float], LoopSet], value: float
-) -> RootLocusRow:
-    try:
-        loops = build_loop(value)
-        chi = loops.S.den
-        roots = poly_roots(chi)
-        verdict = classify_roots(roots, loops.L.ts)
-    except ValueError as exc:
-        raise ValueError(f"root locus failed at parameter {value!r}: {exc}") from exc
-    return RootLocusRow(param=value, roots=roots, stable=verdict.is_stable)
-
-
 def root_locus(
     build_loop: Callable[[float], LoopSet],
     values: Sequence[float],
-    workers: int = 1,
 ) -> RootLocusTable:
     """Closed-loop roots of 1 + L = 0 for each swept parameter value.
 
     build_loop maps the swept value to its LoopSet; the closed-loop roots are
-    those of the shared S/T denominator.  Points are independent, so
-    workers > 1 evaluates them concurrently; results are merged back in
-    parameter order and are bitwise identical to a sequential run.
+    those of the shared S/T denominator.  Every loop is built first, then all
+    characteristic polynomials are solved together by stacked_roots, whose
+    roots are bitwise equal to poly_roots point by point.
     """
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError("root locus needs at least one parameter value")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda v: _locus_point(build_loop, v), vals))
-    else:
-        rows = [_locus_point(build_loop, v) for v in vals]
-    return RootLocusTable(tuple(rows))
+    loops = []
+    for v in vals:
+        try:
+            loops.append(build_loop(v))
+        except ValueError as exc:
+            raise ValueError(f"root locus failed at parameter {v!r}: {exc}") from exc
+    chis = [ls.S.den for ls in loops]
+    try:
+        roots = stacked_roots(chis)
+    except ValueError:
+        # the stacked solve fails as a whole: find the first value that fails alone
+        for v, chi in zip(vals, chis):
+            try:
+                poly_roots(chi)
+            except ValueError as exc:
+                raise ValueError(
+                    f"root locus failed at parameter {v!r}: {exc}"
+                ) from exc
+        raise
+    return RootLocusTable(
+        tuple(
+            RootLocusRow(param=v, roots=r, stable=classify_roots(r, ls.L.ts).is_stable)
+            for v, r, ls in zip(vals, roots, loops)
+        )
+    )
 
 
 def critical_parameter(

@@ -36,31 +36,23 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _sweep_workers() -> int:
-    raw = os.environ.get("DOBLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"DOBLAB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
-
-
-def _dob_params(args, *, need_ts: bool) -> DObParams:
-    ts = args.ts if need_ts else getattr(args, "ts", None)
-    return DObParams(alpha=args.alpha, g_dob=args.gdob, g_v=args.gv, ts=ts)
-
-
 def _outer_gains(args) -> OuterGains:
     if args.kp is None or args.kd is None:
         raise ValueError("outer loop needs both --kp and --kd")
     return OuterGains(kp=args.kp, kd=args.kd)
 
 
-def _build_loops(args) -> LoopSet:
-    discrete = args.domain == "z"
-    if discrete and args.ts is None:
+def _is_discrete(args) -> bool:
+    if args.domain == "z" and args.ts is None:
         raise ValueError("--domain z needs --ts")
-    p = _dob_params(args, need_ts=discrete)
+    return args.domain == "z"
+
+
+def _build_loops(args, **swept: float) -> LoopSet:
+    """The loop the flags describe, with swept flags ("alpha", "gdob") replaced."""
+    discrete = _is_discrete(args)
+    flags = {**vars(args), **swept}
+    p = DObParams(alpha=flags["alpha"], g_dob=flags["gdob"], g_v=args.gv, ts=args.ts)
     if args.loop == "inner":
         return inner_loop_dt(p) if discrete else inner_loop_ct(p)
     gains = _outer_gains(args)
@@ -118,26 +110,9 @@ def _cmd_rootlocus(args) -> int:
     else:
         values = np.linspace(args.start, args.stop, args.count)
 
-    def build(v: float) -> LoopSet:
-        override = {args.sweep: v}
-        merged = {
-            "alpha": override.get("alpha", args.alpha),
-            "gdob": override.get("gdob", args.gdob),
-        }
-        p = DObParams(
-            alpha=merged["alpha"],
-            g_dob=merged["gdob"],
-            g_v=args.gv,
-            ts=args.ts if args.domain == "z" else None,
-        )
-        if args.loop == "inner":
-            return inner_loop_dt(p) if args.domain == "z" else inner_loop_ct(p)
-        gains = _outer_gains(args)
-        return outer_loop_dt(p, gains) if args.domain == "z" else outer_loop_ct(p, gains)
-
-    if args.domain == "z" and args.ts is None:
-        raise ValueError("--domain z needs --ts")
-    table = root_locus(build, values, workers=_sweep_workers())
+    # a missing --ts is a usage error, not a failure at the first sweep value
+    _is_discrete(args)
+    table = root_locus(lambda v: _build_loops(args, **{args.sweep: v}), values)
     n_roots = len(table.rows[0].roots)
     header = ["param"]
     for i in range(1, n_roots + 1):

@@ -35,7 +35,7 @@ from .lti import (
     Polynomial,
     RationalTransferFunction,
     tf_connect,
-    validate_grid,
+    tf_eval_grid,
 )
 from .params import DObParams, OuterGains, per_sample_gain
 
@@ -93,17 +93,14 @@ class LoopSet:
         return d / w, n / w
 
     def st_response(self, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(omega, S values, T values) over a validated frequency grid."""
-        om = validate_grid(self.L, omega)
-        s_vals = np.empty(om.shape, dtype=complex)
-        t_vals = np.empty(om.shape, dtype=complex)
-        for i, w in enumerate(om):
-            point = self.L.contour_point(w)
-            try:
-                s_vals[i], t_vals[i] = self.eval_st(point)
-            except ValueError as exc:
-                raise ValueError(f"evaluation at pole: omega={w!r} rad/s") from exc
-        return om, s_vals, t_vals
+        """(omega, S values, T values) over a validated frequency grid.
+
+        The array counterpart of eval_st: S = d/(d+n) and T = n/(d+n) from
+        one evaluation of the open loop's denominator d and numerator n.
+        """
+        om, n, d = tf_eval_grid(self.L, omega, closed_loop=True)
+        w = d + n
+        return om, d / w, n / w
 
 
 def inner_loop_ct(p: DObParams) -> LoopSet:

@@ -12,6 +12,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +24,9 @@ __all__ = [
     "Stability",
     "StabilityVerdict",
     "poly_roots",
+    "stacked_roots",
     "tf_eval",
+    "tf_eval_grid",
     "tf_connect",
     "classify_roots",
     "is_stable",
@@ -150,20 +153,39 @@ def poly_roots(p: Polynomial) -> tuple[complex, ...]:
     ranges tractable.  Roots come back sorted by (real, imag) so repeated
     calls are deterministic.
     """
-    if p.is_zero:
-        raise ValueError("undefined roots: zero polynomial")
-    if p.degree < 1:
-        raise ValueError("undefined roots: degree must be at least 1")
-    a = np.asarray(p.coeffs, dtype=float)
-    a = a / a[0]
-    n = len(a) - 1
-    if n == 1:
-        return (complex(-a[1]),)
-    comp = np.zeros((n, n))
-    comp[0, :] = -a[1:]
-    comp[1:, :-1] = np.eye(n - 1)
-    roots = np.linalg.eigvals(comp)
-    return tuple(np.sort_complex(roots))
+    return stacked_roots([p])[0]
+
+
+def stacked_roots(polys: Sequence[Polynomial]) -> list[tuple[complex, ...]]:
+    """poly_roots of every polynomial, with one ``eigvals`` call per degree.
+
+    LAPACK solves each matrix of a stack on its own, so entry i is bitwise
+    what solving polys[i] alone gives.  The first polynomial without roots
+    (zero, or of degree 0) makes the whole call raise.
+    """
+    monic = []
+    for p in polys:
+        if p.is_zero:
+            raise ValueError("undefined roots: zero polynomial")
+        if p.degree < 1:
+            raise ValueError("undefined roots: degree must be at least 1")
+        a = np.asarray(p.coeffs, dtype=float)
+        monic.append(a / a[0])
+    out: list[tuple[complex, ...]] = [()] * len(monic)
+    for size in sorted({len(a) for a in monic}):
+        idx = [i for i, a in enumerate(monic) if len(a) == size]
+        rows = np.array([monic[i] for i in idx])
+        n = size - 1
+        if n == 1:
+            roots = (-rows[:, 1:]).astype(complex)
+        else:
+            comp = np.zeros((len(idx), n, n))
+            comp[:, 0, :] = -rows[:, 1:]
+            comp[:, 1:, :-1] = np.eye(n - 1)
+            roots = np.sort_complex(np.linalg.eigvals(comp))
+        for i, r in zip(idx, roots.tolist()):
+            out[i] = tuple(r)
+    return out
 
 
 @dataclass(frozen=True)
@@ -357,16 +379,34 @@ def validate_grid(tf: RationalTransferFunction, omega) -> np.ndarray:
     return om
 
 
+def tf_eval_grid(
+    tf: RationalTransferFunction, omega, closed_loop: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(omega, num values, den values) of tf over a validated frequency grid.
+
+    Each polynomial is evaluated by one ``np.polyval`` pass over the whole
+    contour, s = j*omega or z = exp(j*omega*ts).  The divisor is den(p), or,
+    with closed_loop=True, the characteristic value den(p) + num(p) of 1 + tf
+    formed from the two evaluated values.  As in tf_eval, a grid on which
+    |divisor| falls below POLE_EVAL_TOL relative to its polynomial's scale is
+    refused; the message names the first such omega.
+    """
+    om = validate_grid(tf, omega)
+    points = 1j * om if tf.ts is None else np.exp(1j * om * tf.ts)
+    num = np.polyval(tf.num.coeffs, points)
+    den = np.polyval(tf.den.coeffs, points)
+    divisor, poly = (den + num, tf.den + tf.num) if closed_loop else (den, tf.den)
+    scale = poly.max_abs * np.maximum(1.0, np.abs(points)) ** poly.degree
+    hit = np.flatnonzero(np.abs(divisor) <= POLE_EVAL_TOL * scale)
+    if hit.size:
+        raise ValueError(f"evaluation at pole: omega={float(om[hit[0]])!r} rad/s")
+    return om, num, den
+
+
 def freq_response(tf: RationalTransferFunction, omega) -> FrequencyResponse:
     """Evaluate along s = j*omega (continuous) or z = exp(j*omega*ts) (discrete)."""
-    om = validate_grid(tf, omega)
-    values = np.empty(om.shape, dtype=complex)
-    for i, w in enumerate(om):
-        try:
-            values[i] = tf.at_frequency(w)
-        except ValueError as exc:
-            raise ValueError(f"evaluation at pole: omega={w!r} rad/s") from exc
-    return FrequencyResponse(om, values)
+    om, num, den = tf_eval_grid(tf, omega)
+    return FrequencyResponse(om, num / den)
 
 
 def reduce_tf(

@@ -19,7 +19,7 @@ from doblab.analysis import (
     sensitivity_peak,
 )
 from doblab.loops import LoopSet, inner_loop_ct, inner_loop_dt, outer_loop_ct, outer_loop_dt
-from doblab.lti import Polynomial, RationalTransferFunction
+from doblab.lti import Polynomial, RationalTransferFunction, classify_roots, poly_roots
 from doblab.params import DObParams, OuterGains
 
 TS = 1e-3
@@ -58,6 +58,21 @@ def test_complementary_peak_is_dc_when_pole_positive(x):
     assert omega == 0.0
     assert peak == pytest.approx(1.0, rel=1e-12)
     assert nyquist_t_magnitude(x) < 1.0
+
+
+@pytest.mark.parametrize("ts", [1e-3, 1e-4])
+def test_complementary_peak_tie_rule_keeps_dc(ts):
+    # below x = 1 the supremum of |T| is exactly 1, at DC; the grid and the
+    # golden-section refinement can round a point just off DC to a value an
+    # ulp above 1, and the tie rule must still report DC itself
+    for x in np.linspace(0.0, 1.0, 502)[1:-1]:
+        omega, peak = sensitivity_peak(_inner_dt(x, ts).T)
+        assert omega == 0.0, f"x={x}"
+        assert abs(peak - 1.0) <= 1e-12, f"x={x}"
+    # at x = 1 |T| is flat, and Nyquist wins the tie over DC
+    omega, peak = sensitivity_peak(_inner_dt(1.0, ts).T)
+    assert omega == math.pi / ts
+    assert abs(peak - 1.0) <= 1e-12
 
 
 def test_peak_requires_strict_stability():
@@ -330,15 +345,39 @@ def test_root_locus_single_flip_over_alpha():
     assert table.flip_count() == 1
 
 
-def test_root_locus_workers_bitwise_identical():
-    values = np.linspace(1.0, 5.0, 25)
-    seq = root_locus(_dt_alpha_build, values, workers=1)
-    par = root_locus(_dt_alpha_build, values, workers=4)
-    assert len(seq) == len(par)
-    for a, b in zip(seq, par):
-        assert a.param == b.param
-        assert a.roots == b.roots
-        assert a.stable == b.stable
+def _dt_gdob_build(g_dob: float) -> LoopSet:
+    return outer_loop_dt(DObParams(alpha=0.01, g_dob=g_dob, ts=1e-3), SWEEP_GAINS)
+
+
+@pytest.mark.parametrize(
+    "build, values",
+    [
+        (_dt_alpha_build, np.linspace(1.0, 5.0, 2000)),
+        (_dt_gdob_build, np.logspace(2.0, 6.0, 2000)),
+    ],
+    ids=["alpha-linear", "gdob-log"],
+)
+def test_root_locus_stacked_solve_bitwise_equals_per_point(build, values):
+    def companion_roots(p: Polynomial):
+        # the per-point solve: one companion matrix, one eigvals call
+        a = np.asarray(p.coeffs) / p.coeffs[0]
+        comp = np.zeros((p.degree, p.degree))
+        comp[0, :] = -a[1:]
+        comp[1:, :-1] = np.eye(p.degree - 1)
+        return np.sort_complex(np.linalg.eigvals(comp))
+
+    table = root_locus(build, values)
+    assert [row.param for row in table] == [float(v) for v in values]
+    for row in table:
+        loops = build(row.param)
+        roots = poly_roots(loops.S.den)
+        # same values, same order, same signs of zero
+        got = np.array(row.roots).tobytes()
+        assert got == np.array(roots).tobytes()
+        assert got == companion_roots(loops.S.den).tobytes()
+        assert row.stable == classify_roots(roots, loops.L.ts).is_stable
+    # both sweeps cross the stability boundary
+    assert table.flip_count() >= 1
 
 
 def test_root_locus_annotates_failures():
@@ -354,6 +393,19 @@ def test_root_locus_annotates_failures():
 
     with pytest.raises(ValueError, match=r"root locus failed at parameter 4\.0"):
         root_locus(build, [1.0, 4.0])
+
+    def static_build(v: float) -> LoopSet:
+        if v > 3.0:
+            # a static gain loop builds, but 1 + L has no roots to solve for
+            return LoopSet.from_open_loop(
+                RationalTransferFunction(
+                    Polynomial((1.0,)), Polynomial((1.0,)), ts=None
+                )
+            )
+        return inner_loop_ct(DObParams(alpha=1.0, g_dob=100.0))
+
+    with pytest.raises(ValueError, match=r"failed at parameter 5\.0: undefined roots"):
+        root_locus(static_build, [1.0, 2.0, 5.0, 6.0])
 
 
 def test_root_locus_requires_values():

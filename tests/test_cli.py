@@ -250,20 +250,12 @@ def test_rootlocus_rejects_bad_range(capsys):
     assert "--start < --stop" in err
 
 
-def test_rootlocus_threads_env_identical(capsys, monkeypatch):
-    rc, base, _ = _run(capsys, LOCUS_ARGS)
-    assert rc == 0
-    monkeypatch.setenv("DOBLAB_THREADS", "4")
-    rc, threaded, _ = _run(capsys, LOCUS_ARGS)
-    assert rc == 0
-    assert threaded == base
-
-
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("DOBLAB_THREADS", "lots")
-    rc, _, err = _run(capsys, LOCUS_ARGS)
-    assert rc == 1
-    assert "DOBLAB_THREADS" in err
+def test_rootlocus_discrete_needs_ts(capsys):
+    # reported as a usage error, not as a failure at the first sweep value
+    args = [a for a in LOCUS_ARGS if a not in ("--ts", "1e-3")]
+    rc, out, err = _run(capsys, args)
+    assert rc == 1 and out == ""
+    assert err == "error: --domain z needs --ts\n"
 
 
 # ----------------------------------------------------------------- simulate

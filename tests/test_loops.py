@@ -2,14 +2,18 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doblab.lti import (
     Polynomial,
     RationalTransferFunction,
     Stability,
+    freq_response,
     is_stable,
     poly_roots,
     tf_eval,
@@ -296,6 +300,103 @@ def test_s_plus_t_shared_denominator():
     for z in (0.9 + 0.2j, -0.4 + 0.7j, 2.0 + 0.0j):
         s, t = ls.eval_st(z)
         assert abs(s + t - 1.0) <= 1e-12
+
+
+# ------------------------------------------ array evaluation against oracles
+
+EPS = float(np.finfo(float).eps)
+GAINS = st.builds(OuterGains, kp=st.floats(500.0, 2000.0), kd=st.floats(125.0, 500.0))
+
+
+def _assert_s_plus_t_is_one(s_vals, t_vals) -> None:
+    # two divisions by the same d + n and one sum: a few ulp of the larger
+    # of 1 and |S| + |T| (|S| reaches 2/(2 - x) on the inner loop)
+    scale = np.maximum(1.0, np.abs(s_vals) + np.abs(t_vals))
+    assert np.all(np.abs(s_vals + t_vals - 1.0) <= 4.0 * EPS * scale)
+
+
+def _rel_err(got, want) -> np.ndarray:
+    return np.abs(got - want) / np.abs(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.floats(0.01, 1.99),
+    ts=st.sampled_from([1e-3, 1e-4]),
+    alpha=st.floats(0.05, 3.0),
+    g=st.floats(10.0, 5000.0),
+    gv=st.one_of(st.just(math.inf), st.floats(100.0, 1e4)),
+    gains=GAINS,
+)
+def test_array_evaluation_matches_scalar_path(x, ts, alpha, g, gv, gains):
+    # inner loops and s-domain loops: nothing cancels badly here, so the
+    # np.polyval path and the scalar Horner path agree to 1e-12 pointwise
+    battery = [
+        inner_loop_dt(DObParams(alpha=1.0, g_dob=x / ts, ts=ts)),
+        inner_loop_ct(DObParams(alpha=alpha, g_dob=g, g_v=gv)),
+        outer_loop_ct(DObParams(alpha=alpha, g_dob=g, g_v=gv), gains),
+    ]
+    for ls in battery:
+        if ls.L.is_discrete:
+            om = np.linspace(0.0, ls.L.nyquist, 257)
+        else:
+            om = np.logspace(-2.0, 6.0, 257)
+        points = [ls.L.contour_point(w) for w in om]
+        _, s_vals, t_vals = ls.st_response(om)
+        scalar = np.array([ls.eval_st(p) for p in points])
+        assert np.all(np.abs(s_vals - scalar[:, 0]) <= 1e-12 * np.abs(scalar[:, 0]))
+        assert np.all(np.abs(t_vals - scalar[:, 1]) <= 1e-12 * np.abs(scalar[:, 1]))
+        _assert_s_plus_t_is_one(s_vals, t_vals)
+        for tf in (ls.S, ls.T):
+            got = freq_response(tf, om).values
+            want = np.array([tf_eval(tf, p) for p in points])
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def _horner_envelope(poly: Polynomial, exact_abs: np.ndarray) -> np.ndarray:
+    """A priori relative error of complex Horner evaluation on |z| = 1."""
+    return 2.0 * poly.degree * EPS * sum(abs(c) for c in poly.coeffs) / exact_abs
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    alpha=st.floats(0.3, 1.5),
+    g=st.floats(200.0, 1500.0),
+    ts=st.sampled_from([1e-3, 1e-4]),
+    gains=GAINS,
+)
+def test_sampled_outer_loop_evaluation_against_mpmath(alpha, g, ts, gains):
+    # Near DC, Horner on the expanded polynomials loses digits whichever way
+    # it is run, and which of the array and scalar paths lands closer to the
+    # truth at a given point is rounding noise.  The oracle is a 50-digit
+    # evaluation of the same coefficients; both paths must stay inside the
+    # first-order error envelope of Horner's rule that it implies.
+    ls = outer_loop_dt(DObParams(alpha=alpha, g_dob=g, ts=ts), gains)
+    nyq = ls.L.nyquist
+    # the first 200 points of a 20 000-point grid, then a pass over the band
+    om = np.concatenate(
+        [np.linspace(0.0, nyq, 20000)[1:201], np.linspace(0.02 * nyq, nyq, 60)]
+    )
+    num, den = ls.L.num, ls.L.den
+    with mpmath.workdps(50):
+        exact = []
+        for w in om:
+            z = mpmath.expj(mpmath.mpf(float(w)) * mpmath.mpf(ts))
+            n = mpmath.polyval([mpmath.mpf(c) for c in num.coeffs], z)
+            d = mpmath.polyval([mpmath.mpf(c) for c in den.coeffs], z)
+            exact.append((complex(d / (d + n)), complex(n / (d + n)), abs(n), abs(d), abs(d + n)))
+    s_exact, t_exact = (np.array([e[k] for e in exact]) for k in (0, 1))
+    abs_n, abs_d, abs_w = (np.array([float(e[k]) for e in exact]) for k in (2, 3, 4))
+    w_env = _horner_envelope(den, abs_w) + _horner_envelope(num, abs_w)
+    s_env = _horner_envelope(den, abs_d) + w_env + 4.0 * EPS
+    t_env = _horner_envelope(num, abs_n) + w_env + 4.0 * EPS
+
+    _, s_vals, t_vals = ls.st_response(om)
+    scalar = np.array([ls.eval_st(ls.L.contour_point(w)) for w in om])
+    for s_got, t_got in ((s_vals, t_vals), (scalar[:, 0], scalar[:, 1])):
+        assert np.all(_rel_err(s_got, s_exact) <= s_env)
+        assert np.all(_rel_err(t_got, t_exact) <= t_env)
+    _assert_s_plus_t_is_one(s_vals, t_vals)
 
 
 # ---------------------------------------------------------------- guards
