@@ -20,6 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .lti import (
+    Polynomial,
     RationalTransferFunction,
     Stability,
     classify_roots,
@@ -62,6 +63,11 @@ PAD_BUDGET = 1e-6
 
 # Total quadrature error above this raises instead of returning a value.
 QUAD_ERROR_CEILING = 1e-4
+
+# A sweep is solved as the pencil chi(v) = a + v*b only if a third build
+# matches it to this relative tolerance (of the largest coefficient); the
+# CLI's sweeps match to about 3e-16.
+PENCIL_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +450,11 @@ class ConstraintReport:
 
     Margins are boundary minus value, so positive means satisfied.  Marginal
     cases sit at zero and count as violations for the strict inequalities.
-    outer_gain_ok is the printed continuous outer-loop gain inequality; it is
-    None when no PD gains were supplied.
+    inner_stable is the verdict of classify_roots on the closed-loop pole
+    1 - x, so it fails within BOUNDARY_TOL of x = 0 and x = 2 exactly as
+    is_stable of the sampled inner loop does.  outer_gain_ok is the printed
+    continuous outer-loop gain inequality; it is None when no PD gains were
+    supplied.
     """
 
     inner_stable: bool
@@ -454,6 +463,13 @@ class ConstraintReport:
     t_peak_ok: bool
     outer_gain_ok: bool | None
     margins: dict[str, float]
+
+
+def _outer_gain_rhs(p: DObParams, gains: OuterGains) -> float:
+    """Right-hand side of the printed outer-loop gain inequality 1/alpha < rhs."""
+    return 1.0 + p.g_dob * (
+        gains.kd / gains.kp + gains.kd / p.g_dob + gains.kd * gains.kd / gains.kp
+    )
 
 
 def check_constraints(
@@ -470,15 +486,11 @@ def check_constraints(
     }
     outer_gain_ok: bool | None = None
     if gains is not None:
-        rhs = 1.0 + p.g_dob * (
-            gains.kd / gains.kp
-            + gains.kd / p.g_dob
-            + gains.kd * gains.kd / gains.kp
-        )
+        rhs = _outer_gain_rhs(p, gains)
         margins["outer_gain"] = rhs - 1.0 / p.alpha
         outer_gain_ok = 1.0 / p.alpha < rhs
     return ConstraintReport(
-        inner_stable=x < 2.0,
+        inner_stable=classify_roots((complex(1.0 - x),), p.ts).is_stable,
         no_ringing=x <= 1.0,
         s_peak_ok=x <= b_s,
         t_peak_ok=x <= b_t,
@@ -508,11 +520,7 @@ class OuterGainAudit:
 
 
 def audit_outer_gain_condition(p: DObParams, gains: OuterGains) -> OuterGainAudit:
-    rhs = 1.0 + p.g_dob * (
-        gains.kd / gains.kp
-        + gains.kd / p.g_dob
-        + gains.kd * gains.kd / gains.kp
-    )
+    rhs = _outer_gain_rhs(p, gains)
     predicate_ok = 1.0 / p.alpha < rhs
     loop = outer_loop_ct(p, gains)
     root_stable = is_stable(loop.S).is_stable
@@ -551,6 +559,37 @@ class RootLocusTable:
         return sum(1 for a, b in zip(flags[:-1], flags[1:]) if a != b)
 
 
+def _affine_pencil(
+    build_loop: Callable[[float], LoopSet], probes: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, float | None] | None:
+    """(a, b, ts) when chi(v) = S.den of build_loop(v) is the pencil a + v*b.
+
+    The loop is built at the first, the last and the middle of probes.  The
+    first and last give a and b; the middle one must match a + v*b within
+    PENCIL_RTOL of the largest coefficient, with the same degree and ts.
+    The leading coefficient must not depend on v, so no swept value can drop
+    the degree.  Anything else returns None, and the caller solves point by
+    point: a builder is never assumed affine without this check.
+    """
+    v0, vm, v1 = probes[0], probes[len(probes) // 2], probes[-1]
+    if len({v0, vm, v1}) < 3:
+        return None
+    loops = [build_loop(v) for v in (v0, vm, v1)]
+    ts = loops[0].L.ts
+    if any(ls.L.ts != ts for ls in loops):
+        return None
+    c0, cm, c1 = (ls.S.den.coeffs for ls in loops)
+    if not len(c0) == len(cm) == len(c1) >= 2:
+        return None
+    c0, cm, c1 = np.array(c0), np.array(cm), np.array(c1)
+    b = (c1 - c0) / (v1 - v0)
+    a = c0 - v0 * b
+    scale = max(np.abs(c0).max(), np.abs(cm).max(), np.abs(c1).max())
+    if b[0] != 0.0 or np.abs(a + vm * b - cm).max() > PENCIL_RTOL * scale:
+        return None
+    return a, b, ts
+
+
 def root_locus(
     build_loop: Callable[[float], LoopSet],
     values: Sequence[float],
@@ -558,20 +597,39 @@ def root_locus(
     """Closed-loop roots of 1 + L = 0 for each swept parameter value.
 
     build_loop maps the swept value to its LoopSet; the closed-loop roots are
-    those of the shared S/T denominator.  Every loop is built first, then all
-    characteristic polynomials are solved together by stacked_roots, whose
-    roots are bitwise equal to poly_roots point by point.
+    those of the shared S/T denominator chi, and all of them are solved
+    together by stacked_roots.  When chi is affine in the swept value (every
+    sweep the CLI offers), only the probe values of _affine_pencil are built
+    and the other rows come from a + v*b, so build_loop must be defined over
+    the whole sweep.  Otherwise every value is built.
     """
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError("root locus needs at least one parameter value")
-    loops = []
-    for v in vals:
+
+    def failed(v: float, exc: ValueError) -> ValueError:
+        return ValueError(f"root locus failed at parameter {v!r}: {exc}")
+
+    def build(v: float) -> LoopSet:
         try:
-            loops.append(build_loop(v))
+            return build_loop(v)
         except ValueError as exc:
-            raise ValueError(f"root locus failed at parameter {v!r}: {exc}") from exc
-    chis = [ls.S.den for ls in loops]
+            raise failed(v, exc) from exc
+
+    pencil = _affine_pencil(build, vals)
+    if pencil is None:
+        loops = [build(v) for v in vals]
+        chis = [ls.S.den for ls in loops]
+        tss = [ls.L.ts for ls in loops]
+    else:
+        a, b, ts = pencil
+        chis = []
+        for v, row in zip(vals, (a + np.array(vals)[:, None] * b).tolist()):
+            try:
+                chis.append(Polynomial(row))
+            except ValueError as exc:
+                raise failed(v, exc) from exc
+        tss = [ts] * len(vals)
     try:
         roots = stacked_roots(chis)
     except ValueError:
@@ -580,14 +638,12 @@ def root_locus(
             try:
                 poly_roots(chi)
             except ValueError as exc:
-                raise ValueError(
-                    f"root locus failed at parameter {v!r}: {exc}"
-                ) from exc
+                raise failed(v, exc) from exc
         raise
     return RootLocusTable(
         tuple(
-            RootLocusRow(param=v, roots=r, stable=classify_roots(r, ls.L.ts).is_stable)
-            for v, r, ls in zip(vals, roots, loops)
+            RootLocusRow(param=v, roots=r, stable=classify_roots(r, ts).is_stable)
+            for v, r, ts in zip(vals, roots, tss)
         )
     )
 
@@ -600,15 +656,28 @@ def critical_parameter(
     """Bisect the stability boundary between two parameter values.
 
     The endpoints must give opposite closed-loop verdicts; the bracket is
-    shrunk to a relative width of 1e-6 and its midpoint returned.
+    shrunk to a relative width of 1e-6 and its midpoint returned.  When chi
+    is affine in the parameter, only the probe values of _affine_pencil
+    (lo, the midpoint and hi) are built and every verdict comes from
+    a + v*b, so build_loop must be defined over the whole bracket.
     """
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
 
-    def stable_at(v: float) -> bool:
-        loops = build_loop(v)
-        roots = poly_roots(loops.S.den)
-        return classify_roots(roots, loops.L.ts).is_stable
+    pencil = _affine_pencil(build_loop, (lo, 0.5 * (lo + hi), hi))
+    if pencil is None:
+
+        def stable_at(v: float) -> bool:
+            loops = build_loop(v)
+            roots = poly_roots(loops.S.den)
+            return classify_roots(roots, loops.L.ts).is_stable
+
+    else:
+        a, b, ts = pencil
+
+        def stable_at(v: float) -> bool:
+            roots = poly_roots(Polynomial((a + v * b).tolist()))
+            return classify_roots(roots, ts).is_stable
 
     s_lo = stable_at(lo)
     if s_lo == stable_at(hi):

@@ -70,8 +70,24 @@ def _add_loop_flags(sub, *, domains=("s", "z")) -> None:
     sub.add_argument("--kd", type=float, default=None)
 
 
-def _csv_writer(stream):
-    return csv.writer(stream, lineterminator="\n")
+# Rows formatted per write: enough to amortize the call, few enough that the
+# text and the Python numbers of one block stay small next to the arrays.
+CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(header: list[str], cols: list, fmts: list[str] | None = None) -> None:
+    """Write header and the rows of equal-length columns to stdout.
+
+    Every cell is printed with its %-format from fmts, by default %.17g
+    (the same text as f"{x:.17g}").
+    """
+    cols = [np.asarray(c) for c in cols]
+    fmt = ",".join(fmts or ["%.17g"] * len(cols)) + "\n"
+    out = sys.stdout
+    out.write(",".join(header) + "\n")
+    for i in range(0, len(cols[0]), CSV_BLOCK_ROWS):
+        block = [c[i : i + CSV_BLOCK_ROWS].tolist() for c in cols]
+        out.write("".join(fmt % row for row in zip(*block)))
 
 
 def _cmd_freq(args) -> int:
@@ -85,18 +101,19 @@ def _cmd_freq(args) -> int:
             raise ValueError("frequency range needs 0 < --wmin < --wmax")
         omega = np.logspace(math.log10(args.wmin), math.log10(args.wmax), args.points)
     om, s_vals, t_vals = loops.st_response(omega)
-    w = _csv_writer(sys.stdout)
-    w.writerow(["omega_rad_s", "mag_S", "phase_S_rad", "mag_T", "phase_T_rad"])
-    for i in range(len(om)):
-        w.writerow(
-            [
-                _fmt(om[i]),
-                _fmt(abs(s_vals[i])),
-                _fmt(cmath.phase(s_vals[i])),
-                _fmt(abs(t_vals[i])),
-                _fmt(cmath.phase(t_vals[i])),
-            ]
-        )
+    # Python abs and cmath.phase per value: np.abs and np.angle differ from
+    # them in the last ulp on part of the grid
+    s_vals, t_vals = s_vals.tolist(), t_vals.tolist()
+    _write_csv(
+        ["omega_rad_s", "mag_S", "phase_S_rad", "mag_T", "phase_T_rad"],
+        [
+            om,
+            [abs(v) for v in s_vals],
+            [cmath.phase(v) for v in s_vals],
+            [abs(v) for v in t_vals],
+            [cmath.phase(v) for v in t_vals],
+        ],
+    )
     return 0
 
 
@@ -118,14 +135,12 @@ def _cmd_rootlocus(args) -> int:
     for i in range(1, n_roots + 1):
         header += [f"re_pole_{i}", f"im_pole_{i}"]
     header.append("stable")
-    w = _csv_writer(sys.stdout)
-    w.writerow(header)
-    for row in table.rows:
-        cells = [_fmt(row.param)]
-        for r in row.roots:
-            cells += [_fmt(r.real), _fmt(r.imag)]
-        cells.append("1" if row.stable else "0")
-        w.writerow(cells)
+    roots = np.array([row.roots for row in table.rows])
+    cols = [[row.param for row in table.rows]]
+    for i in range(n_roots):
+        cols += [roots[:, i].real, roots[:, i].imag]
+    cols.append([row.stable for row in table.rows])
+    _write_csv(header, cols, ["%.17g"] * (len(cols) - 1) + ["%d"])
     return 0
 
 
@@ -144,10 +159,15 @@ def _cmd_constraints(args) -> int:
     ]
     if report.outer_gain_ok is not None:
         rows.append(("outer_gain", report.outer_gain_ok))
-    w = _csv_writer(sys.stdout)
-    w.writerow(["constraint", "result", "margin"])
-    for name, ok in rows:
-        w.writerow([name, "pass" if ok else "fail", _fmt(report.margins[name])])
+    _write_csv(
+        ["constraint", "result", "margin"],
+        [
+            [name for name, _ in rows],
+            ["pass" if ok else "fail" for _, ok in rows],
+            [report.margins[name] for name, _ in rows],
+        ],
+        ["%s", "%s", "%.17g"],
+    )
     return 0
 
 
@@ -295,20 +315,8 @@ def _cmd_simulate(args) -> int:
     entries = _parse_scenario_file(path)
     sc = _scenario_from_entries(entries, path.parent)
     trace = simulate(sc, log_substeps=args.substeps)
-    w = _csv_writer(sys.stdout)
-    w.writerow(["t", "q_ref", "q", "qdot", "u", "tau_d", "tau_d_hat"])
-    for i in range(len(trace)):
-        w.writerow(
-            [
-                _fmt(trace.t[i]),
-                _fmt(trace.q_ref[i]),
-                _fmt(trace.q[i]),
-                _fmt(trace.qdot[i]),
-                _fmt(trace.u[i]),
-                _fmt(trace.tau_d[i]),
-                _fmt(trace.tau_d_hat[i]),
-            ]
-        )
+    names = ["t", "q_ref", "q", "qdot", "u", "tau_d", "tau_d_hat"]
+    _write_csv(names, [getattr(trace, name) for name in names])
     if trace.diverged_at is not None:
         print(
             f"diverged at row {trace.diverged_at} (t = {_fmt(trace.t[trace.diverged_at])})",

@@ -188,7 +188,10 @@ def aggregate_mismatch(jn: float, ktn: float, jm: float, kt: float) -> float:
 
 
 def _plant_step(q, v, force, jm, b, dt):
-    """Exact state advance under constant force over dt."""
+    """Exact state advance under constant force over dt.
+
+    q, v and force may be arrays of one shape; dt and the plant are scalars.
+    """
     if b == 0.0:
         a = force / jm
         return q + dt * v + 0.5 * dt * dt * a, v + dt * a
@@ -206,9 +209,10 @@ def simulate(sc: Scenario, log_substeps: int = 1) -> SimTrace:
     """Run the scenario tick by tick and log the trace.
 
     log_substeps > 1 inserts extra rows inside each sampling period by
-    evaluating the plant's closed form at fractional times; the states at
-    controller ticks are bitwise independent of the logging rate because the
-    state advance itself always uses the full period.
+    evaluating the plant's closed form at fractional times, for all ticks at
+    once after the tick loop; the states at controller ticks are bitwise
+    independent of the logging rate because the state advance itself always
+    uses the full period.
     """
     if log_substeps < 1:
         raise ValueError("log_substeps must be at least 1")
@@ -239,6 +243,7 @@ def simulate(sc: Scenario, log_substeps: int = 1) -> SimTrace:
     tau_hat = 0.0
     vf_prev = 0.0
     e_prev = 0.0
+    forces = []
     diverged_at: int | None = None
 
     for k in range(n):
@@ -274,15 +279,21 @@ def simulate(sc: Scenario, log_substeps: int = 1) -> SimTrace:
         u = kt * (jn * acc_des + tau_hat) / ktn
 
         force = u - load
+        forces.append(force)
         out["q"][base] = q
         out["qdot"][base] = v
         out["u"][base : base + m] = u
         out["tau_d_hat"][base : base + m] = tau_hat
-        for j in range(1, m):
-            qj, vj = _plant_step(q, v, force, jm, b, j * (ts / m))
-            out["q"][base + j] = qj
-            out["qdot"][base + j] = vj
         q, v = _plant_step(q, v, force, jm, b, ts)
+
+    # sub-step rows of the ticks that ran, one column j of the (tick, m) view
+    # at a time; rows from diverged_at on stay NaN
+    live = len(forces)
+    qs = out["q"][: live * m].reshape(live, m)
+    vs = out["qdot"][: live * m].reshape(live, m)
+    forces = np.array(forces)
+    for j in range(1, m):
+        qs[:, j], vs[:, j] = _plant_step(qs[:, 0], vs[:, 0], forces, jm, b, j * (ts / m))
 
     return SimTrace(
         t=t,

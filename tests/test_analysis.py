@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from doblab.analysis import (
     OuterGainAudit,
@@ -19,7 +22,13 @@ from doblab.analysis import (
     sensitivity_peak,
 )
 from doblab.loops import LoopSet, inner_loop_ct, inner_loop_dt, outer_loop_ct, outer_loop_dt
-from doblab.lti import Polynomial, RationalTransferFunction, classify_roots, poly_roots
+from doblab.lti import (
+    Polynomial,
+    RationalTransferFunction,
+    classify_roots,
+    is_stable,
+    poly_roots,
+)
 from doblab.params import DObParams, OuterGains
 
 TS = 1e-3
@@ -221,6 +230,23 @@ def test_check_constraints_strictness_at_boundaries():
     assert abs(at_t.margins["t_peak"]) < 1e-15
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    center=st.sampled_from([0.0, 1e-9, 2.0 - 1e-9, 2.0 - 1e-12, 2.0]),
+    ulps=st.integers(-8, 8),
+    alpha=st.floats(0.5, 2.0),
+    ts=st.sampled_from([1e-3, 1e-4]),
+)
+def test_inner_stable_is_the_sampled_inner_loop_verdict(center, ulps, alpha, ts):
+    # a few ulp around x = 0 and x = 2 and around the edges of the
+    # BOUNDARY_TOL band, where two definitions of the boundary would part
+    x = center + ulps * math.ulp(center)
+    assume(x > 0.0)
+    p = DObParams(alpha=alpha, g_dob=x / (alpha * ts), ts=ts)
+    report = check_constraints(p, None, PeakSpec(gamma_s=0.5, gamma_t=0.5))
+    assert report.inner_stable == is_stable(inner_loop_dt(p).S).is_stable
+
+
 def test_check_constraints_margin_consistency_random():
     rng = np.random.Generator(np.random.PCG64(57))
     for _ in range(300):
@@ -349,11 +375,26 @@ def _dt_gdob_build(g_dob: float) -> LoopSet:
     return outer_loop_dt(DObParams(alpha=0.01, g_dob=g_dob, ts=1e-3), SWEEP_GAINS)
 
 
+class _Counted:
+    """A builder that counts its calls."""
+
+    def __init__(self, build):
+        self.build = build
+        self.calls = 0
+
+    def __call__(self, v: float) -> LoopSet:
+        self.calls += 1
+        return self.build(v)
+
+
 @pytest.mark.parametrize(
     "build, values",
     [
-        (_dt_alpha_build, np.linspace(1.0, 5.0, 2000)),
-        (_dt_gdob_build, np.logspace(2.0, 6.0, 2000)),
+        # chi is quadratic in the swept value, so root_locus must take the
+        # per-point path; alpha = v*v is still linearly spaced over [1, 5],
+        # and g_dob = v*v log-spaced over [1e2, 1e6]
+        (lambda v: _dt_alpha_build(v * v), np.sqrt(np.linspace(1.0, 5.0, 2000))),
+        (lambda v: _dt_gdob_build(v * v), np.logspace(1.0, 3.0, 2000)),
     ],
     ids=["alpha-linear", "gdob-log"],
 )
@@ -366,7 +407,9 @@ def test_root_locus_stacked_solve_bitwise_equals_per_point(build, values):
         comp[1:, :-1] = np.eye(p.degree - 1)
         return np.sort_complex(np.linalg.eigvals(comp))
 
-    table = root_locus(build, values)
+    counted = _Counted(build)
+    table = root_locus(counted, values)
+    assert counted.calls >= len(values)  # every value was built
     assert [row.param for row in table] == [float(v) for v in values]
     for row in table:
         loops = build(row.param)
@@ -378,6 +421,62 @@ def test_root_locus_stacked_solve_bitwise_equals_per_point(build, values):
         assert row.stable == classify_roots(roots, loops.L.ts).is_stable
     # both sweeps cross the stability boundary
     assert table.flip_count() >= 1
+
+
+def _exact_outer_dt_roots(alpha: float, g_dob: float, ts: float = 1e-3):
+    """50-digit roots of chi for outer_loop_dt, from its factored blocks.
+
+    chi(z) = z*(z - 1 + x)*(z - 1)^2
+             + (kp + kd/ts - kd/(ts*z))*z * alpha*((1 + g*ts)*z - 1)
+               * (ts^2/2)*(z + 1),   x = alpha*g*ts.
+    """
+    with mpmath.workdps(50):
+        a, g, t = (mpmath.mpf(v) for v in (alpha, g_dob, ts))
+        kp, kd = mpmath.mpf(SWEEP_GAINS.kp), mpmath.mpf(SWEEP_GAINS.kd)
+
+        def mul(p, q):
+            out = [mpmath.mpf(0)] * (len(p) + len(q) - 1)
+            for i, u in enumerate(p):
+                for j, w in enumerate(q):
+                    out[i + j] += u * w
+            return out
+
+        den = mul(mul([1, 0], [1, a * g * t - 1]), [1, -2, 1])
+        num = mul(mul([kp + kd / t, -kd / t], [a * (1 + g * t), -a]), [t * t / 2, t * t / 2])
+        chi = [d + n for d, n in zip(den, [0] + num)]
+        return [complex(r) for r in mpmath.polyroots(chi, maxsteps=200, extraprec=100)]
+
+
+@pytest.mark.parametrize(
+    "build, exact, values",
+    [
+        (_dt_alpha_build, lambda v: _exact_outer_dt_roots(v, 750.0),
+         np.linspace(1.0, 5.0, 2000)),
+        (_dt_gdob_build, lambda v: _exact_outer_dt_roots(0.01, v),
+         np.logspace(2.0, 6.0, 2000)),
+    ],
+    ids=["alpha-linear", "gdob-log"],
+)
+def test_root_locus_affine_pencil_against_mpmath(build, exact, values):
+    counted = _Counted(build)
+    table = root_locus(counted, values)
+    # first, middle and last value only
+    assert counted.calls == 3
+    assert [row.param for row in table] == [float(v) for v in values]
+    for row in table:
+        loops = build(row.param)
+        verdict = classify_roots(poly_roots(loops.S.den), loops.L.ts)
+        assert row.stable == verdict.is_stable
+    assert table.flip_count() >= 1
+    # a 50-digit oracle on every tenth row; measured worst 8.2e-12 (gdob-log
+    # near 103, where the per-point path is itself 5.4e-12 away)
+    for row in table.rows[::10]:
+        want = exact(row.param)
+        got = list(row.roots)
+        scale = max(abs(r) for r in want)
+        for r in want:
+            j = min(range(len(got)), key=lambda k: abs(got[k] - r))
+            assert abs(got.pop(j) - r) <= 1e-11 * scale, row.param
 
 
 def test_root_locus_annotates_failures():
@@ -416,6 +515,23 @@ def test_root_locus_requires_values():
 # ------------------------------------------------------ critical parameter
 
 
+def _bisect_per_point(build, lo: float, hi: float) -> float:
+    """Reference bisection: one build and one root solve per verdict."""
+
+    def stable_at(v: float) -> bool:
+        loops = build(v)
+        return classify_roots(poly_roots(loops.S.den), loops.L.ts).is_stable
+
+    s_lo = stable_at(lo)
+    while hi - lo > 1e-6 * max(abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if stable_at(mid) == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def test_critical_parameter_inner_loop():
     g, ts = 1000.0, 1e-3
 
@@ -425,6 +541,37 @@ def test_critical_parameter_inner_loop():
     # boundary at alpha*g*ts = 2
     crit = critical_parameter(build, 1.5, 3.0)
     assert crit == pytest.approx(2.0, rel=1e-5)
+
+
+@pytest.mark.parametrize("g_dob, ts", [(1000.0, 1e-3), (750.0, 1e-4), (3e4, 1e-4)])
+def test_critical_parameter_inner_loop_on_the_pencil(g_dob, ts):
+    def build(alpha: float) -> LoopSet:
+        return inner_loop_dt(DObParams(alpha=alpha, g_dob=g_dob, ts=ts))
+
+    counted = _Counted(build)
+    exact = 2.0 / (g_dob * ts)
+    crit = critical_parameter(counted, 0.5 * exact, 3.0 * exact)
+    assert counted.calls == 3
+    # the returned midpoint of a 1e-6 relative bracket around alpha*g*ts = 2
+    assert abs(crit - exact) <= 1e-6 * crit
+
+
+@pytest.mark.parametrize(
+    "build, lo, hi",
+    [
+        (_dt_alpha_build, 1.0, 5.0),
+        (_dt_gdob_build, 100.0, 1000.0),
+        (lambda a: outer_loop_ct(DObParams(alpha=a, g_dob=750.0, g_v=3000.0), SWEEP_GAINS),
+         1e-4, 1e-2),
+    ],
+    ids=["outer-z-alpha", "outer-z-gdob", "outer-s-gv-alpha"],
+)
+def test_critical_parameter_pencil_matches_per_point_bisection(build, lo, hi):
+    counted = _Counted(build)
+    crit = critical_parameter(counted, lo, hi)
+    assert counted.calls == 3
+    ref = _bisect_per_point(build, lo, hi)
+    assert abs(crit - ref) <= 1e-6 * ref
 
 
 def test_critical_parameter_outer_ct_matches_routh_bound():

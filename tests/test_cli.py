@@ -1,12 +1,15 @@
 """CLI surface: output shapes, exit codes, and stream discipline."""
 
+import csv
+import io
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from doblab.cli import main
+from doblab.cli import CSV_BLOCK_ROWS, _write_csv, main
 
 SERVO_BASE = """
 jm = 0.003
@@ -351,6 +354,30 @@ def test_simulate_rejects_bad_header(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------ general
+
+
+def test_write_csv_matches_per_cell_csv_writer(capsys):
+    # the former writer: f"{x:.17g}" per cell through csv.writer
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-320, 0.1, 1 / 3]
+    rng = np.random.Generator(np.random.PCG64(3))
+    n = 2 * CSV_BLOCK_ROWS + 17  # crosses two block boundaries
+    cols = [
+        rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) for _ in range(3)
+    ]
+    for c in cols:
+        c[rng.integers(0, n, 40)] = rng.choice(special, 40)
+    flags = rng.integers(0, 2, n).astype(bool)
+    names = [str(v) for v in rng.integers(0, 9, n)]
+
+    _write_csv(["a", "b", "c", "name", "flag"], [*cols, names, flags],
+               ["%.17g", "%.17g", "%.17g", "%s", "%d"])
+    want = io.StringIO()
+    w = csv.writer(want, lineterminator="\n")
+    w.writerow(["a", "b", "c", "name", "flag"])
+    for i in range(n):
+        w.writerow([f"{c[i]:.17g}" for c in cols] + [names[i], "1" if flags[i] else "0"])
+    assert capsys.readouterr().out == want.getvalue()
+
 
 
 def test_repeat_invocations_byte_identical(capsys):

@@ -14,6 +14,7 @@ from doblab.sim import (
     SimTrace,
     Step,
     Trajectory,
+    _plant_step,
     aggregate_mismatch,
     inner_loop_disturbance_oracle,
     noise_channel_oracle,
@@ -302,6 +303,38 @@ def test_substep_rows_follow_constant_force_arc():
             tau = j * ts / 5
             q_ref = q0 + tau * v0 + 0.5 * tau * tau * a
             assert fine.q[base + j] == pytest.approx(q_ref, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "viscous, g_v, g_dob, m",
+    [
+        (0.0, math.inf, 5000.0, 5),
+        (0.05, 3000.0, 5000.0, 12),
+        (0.0, math.inf, 25_000.0, 7),  # per-sample gain 2.5: diverges
+        (0.5, math.inf, 30_000.0, 3),  # diverges
+    ],
+)
+def test_substep_rows_equal_the_scalar_plant_step(viscous, g_v, g_dob, m):
+    ts = 1e-4
+    plant = PlantParams(jm=0.003, kt=0.25, viscous=viscous, external_load=((0.004, 0.5),))
+    sc = _step_scenario(
+        duration=0.05,
+        plant=plant,
+        dob=DObParams(alpha=1.0, g_dob=g_dob, g_v=g_v, ts=ts),
+        noise_amplitude=1e-3,
+        noise_seed=5,
+    )
+    trace = simulate(sc, log_substeps=m)
+    end = len(trace) if trace.diverged_at is None else trace.diverged_at
+    assert (trace.diverged_at is None) == (g_dob == 5000.0)
+    for base in range(0, end, m):
+        # the force held over tick k, and the per-row scalar closed form
+        force = float(trace.u[base]) - float(trace.tau_d[base])
+        q0, v0 = float(trace.q[base]), float(trace.qdot[base])
+        for j in range(1, m):
+            want = _plant_step(q0, v0, force, plant.jm, viscous, j * (ts / m))
+            assert (trace.q[base + j], trace.qdot[base + j]) == want
+    assert np.all(np.isnan(trace.q[end:])) and np.all(np.isnan(trace.qdot[end:]))
 
 
 # ---------------------------------------------------------------- viscous
