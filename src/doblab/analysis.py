@@ -472,12 +472,16 @@ def _outer_gain_rhs(p: DObParams, gains: OuterGains) -> float:
     )
 
 
+def _peak_bounds(spec: PeakSpec) -> tuple[float, float]:
+    """Largest x meeting the |S| budget and the |T| budget, in that order."""
+    return 2.0 * (1.0 - spec.gamma_s), 2.0 / (1.0 + spec.gamma_t)
+
+
 def check_constraints(
     p: DObParams, gains: OuterGains | None, spec: PeakSpec
 ) -> ConstraintReport:
     x = per_sample_gain(p)
-    b_s = 2.0 * (1.0 - spec.gamma_s)
-    b_t = 2.0 / (1.0 + spec.gamma_t)
+    b_s, b_t = _peak_bounds(spec)
     margins = {
         "inner": 2.0 - x,
         "ringing": 1.0 - x,
@@ -503,10 +507,9 @@ def max_bandwidth(alpha: float, ts: float, spec: PeakSpec) -> float:
     """Largest estimator bandwidth meeting both peak budgets."""
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    if not ts > 0.0:
-        raise ValueError("ts must be positive")
-    bound = min(2.0 * (1.0 - spec.gamma_s), 2.0 / (1.0 + spec.gamma_t))
-    return bound / (alpha * ts)
+    if not (ts > 0.0 and math.isfinite(ts)):
+        raise ValueError("ts must be positive and finite")
+    return min(_peak_bounds(spec)) / (alpha * ts)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ import numpy as np
 from .discretize import backward_euler_pd, zoh_double_integrator
 from .lti import (
     POLE_EVAL_TOL,
-    ConnectMode,
     Polynomial,
     RationalTransferFunction,
     tf_connect,
@@ -185,5 +184,5 @@ def outer_loop_dt(p: DObParams, gains: OuterGains) -> LoopSet:
     c = backward_euler_pd(gains, ts)
     ci = ci_compensator_dt(p).tf
     gp = zoh_double_integrator(1.0, ts)
-    L = tf_connect(tf_connect(c, ci, ConnectMode.SERIES), gp, ConnectMode.SERIES)
+    L = tf_connect(tf_connect(c, ci), gp)
     return LoopSet.from_open_loop(L)

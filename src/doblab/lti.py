@@ -1,9 +1,9 @@
 """Polynomials, rational transfer functions, and stability classification.
 
 Coefficients are stored highest degree first, matching the ordering used by
-``numpy.roots``.  All types are immutable value types, so everything here can
-be shared freely across threads.  No operation cancels common factors
-implicitly; cancellation only happens through the explicit ``reduce_tf``.
+``numpy.roots``.  All types are immutable value types, and no operation
+cancels common factors.  ``tf_eval_grid`` is the one array evaluator of a
+frequency response; ``tf_eval`` is its scalar form.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import numpy as np
 __all__ = [
     "Polynomial",
     "RationalTransferFunction",
-    "FrequencyResponse",
-    "ConnectMode",
     "Stability",
     "StabilityVerdict",
     "poly_roots",
@@ -30,8 +28,6 @@ __all__ = [
     "tf_connect",
     "classify_roots",
     "is_stable",
-    "freq_response",
-    "reduce_tf",
     "BOUNDARY_TOL",
 ]
 
@@ -97,12 +93,6 @@ class Polynomial:
         b = (0.0,) * (n - len(b)) + b
         return Polynomial(tuple(x + y for x, y in zip(a, b)))
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             if self.is_zero or other.is_zero:
@@ -114,35 +104,6 @@ class Polynomial:
 
     def scale(self, k: float) -> "Polynomial":
         return Polynomial(tuple(c * k for c in self.coeffs))
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            raise ValueError("cannot normalize the zero polynomial")
-        return Polynomial(tuple(c / self.lead for c in self.coeffs))
-
-    def allclose(self, other: "Polynomial", rtol: float = 1e-9) -> bool:
-        """Coefficient comparison relative to the largest magnitude present."""
-        if self.degree != other.degree:
-            return False
-        scale = max(self.max_abs, other.max_abs, 1e-300)
-        return all(
-            abs(a - b) <= rtol * scale for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    @classmethod
-    def from_roots(cls, roots, lead: float = 1.0) -> "Polynomial":
-        """Monic-from-roots product scaled by lead.
-
-        The root set must be closed under conjugation for the result to be
-        real; tiny residual imaginary parts from rounding are discarded.
-        """
-        acc = np.array([1.0 + 0j])
-        for r in roots:
-            acc = np.convolve(acc, [1.0, -complex(r)])
-        scale = np.max(np.abs(acc)) or 1.0
-        if np.max(np.abs(acc.imag)) > 1e-7 * scale:
-            raise ValueError("root set is not conjugate-closed")
-        return cls(tuple(float(c) * lead for c in acc.real))
 
 
 def poly_roots(p: Polynomial) -> tuple[complex, ...]:
@@ -235,13 +196,6 @@ class RationalTransferFunction:
         return tf_eval(self, point)
 
 
-def _same_domain(a: RationalTransferFunction, b: RationalTransferFunction) -> None:
-    if a.ts != b.ts:
-        raise ValueError(
-            f"domain mismatch: cannot combine ts={a.ts!r} with ts={b.ts!r}"
-        )
-
-
 def tf_eval(tf: RationalTransferFunction, point: complex) -> complex:
     """Evaluate num(point)/den(point) by Horner's method.
 
@@ -255,37 +209,15 @@ def tf_eval(tf: RationalTransferFunction, point: complex) -> complex:
     return tf.num(point) / d
 
 
-class ConnectMode(enum.Enum):
-    SERIES = "series"
-    PARALLEL = "parallel"
-    NEGATIVE_FEEDBACK = "negative_feedback"
-
-
 def tf_connect(
-    a: RationalTransferFunction,
-    b: RationalTransferFunction,
-    mode: ConnectMode,
+    a: RationalTransferFunction, b: RationalTransferFunction
 ) -> RationalTransferFunction:
-    """Combine two blocks by exact polynomial arithmetic.
-
-    NEGATIVE_FEEDBACK closes b around a: a / (1 + a*b).  No cancellation of
-    common factors is attempted.
-    """
-    _same_domain(a, b)
-    if mode is ConnectMode.SERIES:
-        num = a.num * b.num
-        den = a.den * b.den
-    elif mode is ConnectMode.PARALLEL:
-        num = a.num * b.den + b.num * a.den
-        den = a.den * b.den
-    elif mode is ConnectMode.NEGATIVE_FEEDBACK:
-        num = a.num * b.den
-        den = a.den * b.den + a.num * b.num
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown connect mode {mode!r}")
-    if den.is_zero:
-        raise ValueError("degenerate connection: denominator vanished")
-    return RationalTransferFunction(num, den, ts=a.ts)
+    """Series connection a*b by exact polynomial arithmetic, no cancellation."""
+    if a.ts != b.ts:
+        raise ValueError(
+            f"domain mismatch: cannot combine ts={a.ts!r} with ts={b.ts!r}"
+        )
+    return RationalTransferFunction(a.num * b.num, a.den * b.den, ts=a.ts)
 
 
 class Stability(enum.Enum):
@@ -336,32 +268,6 @@ def is_stable(tf: RationalTransferFunction) -> StabilityVerdict:
     return classify_roots(tf.poles(), tf.ts)
 
 
-@dataclass(frozen=True)
-class FrequencyResponse:
-    """Complex response values over a strictly increasing frequency grid."""
-
-    omega: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        om = np.asarray(self.omega, dtype=float)
-        va = np.asarray(self.values, dtype=complex)
-        if om.ndim != 1 or va.shape != om.shape:
-            raise ValueError("omega and values must be 1-d arrays of equal length")
-        if om.size > 1 and not np.all(np.diff(om) > 0.0):
-            raise ValueError("omega grid must be strictly increasing")
-        object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "values", va)
-
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    @property
-    def phase(self) -> np.ndarray:
-        return np.angle(self.values)
-
-
 def validate_grid(tf: RationalTransferFunction, omega) -> np.ndarray:
     om = np.asarray(omega, dtype=float)
     if om.ndim != 1 or om.size == 0:
@@ -401,41 +307,3 @@ def tf_eval_grid(
     if hit.size:
         raise ValueError(f"evaluation at pole: omega={float(om[hit[0]])!r} rad/s")
     return om, num, den
-
-
-def freq_response(tf: RationalTransferFunction, omega) -> FrequencyResponse:
-    """Evaluate along s = j*omega (continuous) or z = exp(j*omega*ts) (discrete)."""
-    om, num, den = tf_eval_grid(tf, omega)
-    return FrequencyResponse(om, num / den)
-
-
-def reduce_tf(
-    tf: RationalTransferFunction, tolerance: float
-) -> RationalTransferFunction:
-    """Cancel matching pole/zero pairs within the given tolerance.
-
-    This is the only place common factors are ever removed, and nothing in
-    the analysis paths calls it; callers opt in explicitly.
-    """
-    if tolerance < 0.0:
-        raise ValueError("tolerance must be nonnegative")
-    if tf.num.is_zero:
-        return RationalTransferFunction(
-            Polynomial((0.0,)), Polynomial((1.0,)), ts=tf.ts
-        )
-    zeros = list(tf.zeros())
-    poles = list(tf.poles())
-    kept_zeros = []
-    for z in zeros:
-        hit = None
-        for i, p in enumerate(poles):
-            if abs(z - p) <= tolerance * max(1.0, abs(z)):
-                hit = i
-                break
-        if hit is None:
-            kept_zeros.append(z)
-        else:
-            poles.pop(hit)
-    num = Polynomial.from_roots(kept_zeros, lead=tf.num.lead)
-    den = Polynomial.from_roots(poles, lead=tf.den.lead)
-    return RationalTransferFunction(num, den, ts=tf.ts)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+__all__ = ["DObParams", "OuterGains", "per_sample_gain"]
+
 
 @dataclass(frozen=True)
 class DObParams:
@@ -30,10 +32,6 @@ class DObParams:
             raise ValueError("g_v must be positive (inf allowed)")
         if self.ts is not None and not (self.ts > 0.0 and math.isfinite(self.ts)):
             raise ValueError("ts must be positive when given")
-
-    @property
-    def sampled(self) -> bool:
-        return self.ts is not None
 
     def require_ts(self) -> float:
         if self.ts is None:

@@ -60,6 +60,10 @@ class PlantParams:
             raise ValueError("kt must be positive")
         if not (self.viscous >= 0.0 and math.isfinite(self.viscous)):
             raise ValueError("viscous must be nonnegative")
+        if not all(
+            math.isfinite(t) and math.isfinite(v) for t, v in self.external_load
+        ):
+            raise ValueError("external_load times and torques must be finite")
         times = [t for t, _ in self.external_load]
         if any(b <= a for a, b in zip(times[:-1], times[1:])):
             raise ValueError("external_load times must be strictly increasing")
@@ -106,6 +110,8 @@ class Scenario:
 
     gains=None opens the outer loop (desired acceleration pinned to zero),
     which exposes the bare estimator channels for oracle comparisons.
+    The run has round(duration/ts) controller ticks (n_steps), so a duration
+    that is not a multiple of ts is rounded to the nearest one (ties to even).
     Velocity noise is uniform on [-noise_amplitude, +noise_amplitude] from a
     seeded generator, added to the measured velocity each tick.
     """
@@ -123,7 +129,6 @@ class Scenario:
             raise ValueError("duration must be positive")
         if not (self.noise_amplitude >= 0.0 and math.isfinite(self.noise_amplitude)):
             raise ValueError("noise_amplitude must be nonnegative")
-        ts = self.dob.require_ts()
         n = self.n_steps
         if n < 1:
             raise ValueError("duration shorter than one sampling period")
@@ -133,7 +138,6 @@ class Scenario:
                     f"trajectory length {len(self.reference.samples)} does not "
                     f"match duration/ts = {n}"
                 )
-        del ts
 
     @property
     def n_steps(self) -> int:

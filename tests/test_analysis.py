@@ -311,8 +311,9 @@ def test_max_bandwidth_validation():
     spec = PeakSpec(gamma_s=0.5, gamma_t=0.5)
     with pytest.raises(ValueError, match="alpha"):
         max_bandwidth(0.0, 1e-3, spec)
-    with pytest.raises(ValueError, match="ts"):
-        max_bandwidth(1.0, 0.0, spec)
+    for ts in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="ts"):
+            max_bandwidth(1.0, ts, spec)
 
 
 # -------------------------------------------------------------- gain audit

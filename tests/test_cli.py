@@ -163,6 +163,16 @@ def test_tune_prints_bandwidth(capsys):
     assert out == "1000\n"
 
 
+@pytest.mark.parametrize("ts", ["inf", "nan"])
+def test_tune_rejects_bad_ts(capsys, ts):
+    rc, out, err = _run(
+        capsys,
+        ["tune", "--alpha", "1", "--ts", ts, "--gammaS", "0.5", "--gammaT", "0.5"],
+    )
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ts must be positive")
+
+
 # ------------------------------------------------------------ bode-integral
 
 
@@ -316,6 +326,15 @@ def test_simulate_divergence_note_on_stderr(tmp_path, capsys):
     assert len(rows) == 100
     assert any(r[2] == "nan" for r in rows)  # position column goes NaN
     assert all(r[1] == "1" for r in rows)  # reference stays filled
+
+
+@pytest.mark.parametrize("load", ["nan:0.5", "0.002:nan"])
+def test_simulate_rejects_nonfinite_load(tmp_path, capsys, load):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SERVO_BASE + f"load = {load}\n")
+    rc, out, err = _run(capsys, ["simulate", "--scenario", str(cfg)])
+    assert rc == 1 and out == ""
+    assert err == "error: external_load times and torques must be finite\n"
 
 
 def test_simulate_missing_file(capsys, tmp_path):

@@ -1,0 +1,40 @@
+"""Every exported name resolves, and so does every hook the benchmark patches."""
+
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import doblab
+
+# __main__ runs the CLI on import
+MODULES = [m.name for m in pkgutil.iter_modules(doblab.__path__) if m.name != "__main__"]
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def test_package_exports_resolve():
+    missing = [name for name in doblab.__all__ if not hasattr(doblab, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_exports_resolve(module):
+    mod = importlib.import_module(f"doblab.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_benchmark_tracer_hooks_exist():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, attr, *_ in tracer.PATCHES:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{attr}")
+    assert missing == []

@@ -50,6 +50,9 @@ def test_plant_params_validation():
         PlantParams(jm=0.003, kt=0.25, viscous=-0.1)
     with pytest.raises(ValueError, match="strictly increasing"):
         PlantParams(jm=0.003, kt=0.25, external_load=((0.5, 1.0), (0.5, 2.0)))
+    for entry in ((math.nan, 0.5), (0.002, math.nan), (math.inf, 0.5), (0.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            PlantParams(jm=0.003, kt=0.25, external_load=(entry,))
 
 
 def test_reference_validation():
@@ -72,6 +75,14 @@ def test_scenario_validation():
         _step_scenario(duration=1e-5)
     with pytest.raises(ValueError, match="trajectory length"):
         _step_scenario(reference=Trajectory((0.0,) * 10), duration=0.3)
+
+
+def test_duration_rounds_to_nearest_tick():
+    ts = TUNED.ts
+    for ticks, want in ((10.4, 10), (10.6, 11)):
+        sc = _step_scenario(duration=ticks * ts)
+        assert sc.n_steps == want
+        assert len(simulate(sc)) == want
 
 
 def test_simulate_rejects_bad_substeps():
