@@ -57,10 +57,6 @@ PEAK_TIE_RTOL = 1e-12
 # A root this close to the frequency contour is treated as sitting on it.
 CONTOUR_TOL = 1e-7
 
-# Analytic log-singularity pads shrink until their model integral is smaller
-# than this.
-PAD_BUDGET = 1e-6
-
 # Total quadrature error above this raises instead of returning a value.
 QUAD_ERROR_CEILING = 1e-4
 
@@ -200,88 +196,25 @@ def _factored_log_mag(lead_log: float, plus_roots, minus_roots, point_of):
     return f
 
 
-def _cluster_singular(points: list[tuple[float, int]], ctol: float):
-    """Merge (position, signed count) pairs into (position, net multiplicity)."""
-    if not points:
-        return []
-    points = sorted(points)
-    clusters = []
-    start, total, members = points[0][0], points[0][1], [points[0][0]]
-    for pos, sign in points[1:]:
-        if pos - start <= ctol * max(1.0, abs(start)):
-            total += sign
-            members.append(pos)
-        else:
-            if total != 0:
-                clusters.append((sum(members) / len(members), total))
-            start, total, members = pos, sign, [pos]
-    if total != 0:
-        clusters.append((sum(members) / len(members), total))
-    return clusters
+def _integrate_log_mag(f, a: float, b: float, cuts):
+    """Integral of f over [a, b], one adaptive quadrature per piece.
 
-
-def _pad_side(f, x0: float, mu: float, other: float):
-    """Integrate f over the directed interval from x0 (singular) to other.
-
-    Near x0 the integrand behaves as mu*ln|x - x0| + c.  The numeric part
-    stays a pad away from x0; the pad halves geometrically until the local
-    model contributes less than PAD_BUDGET, which is then added analytically.
+    The pieces run between the cuts inside (a, b), and no piece reaches past
+    ten times its left end.  QUADPACK's QAGS extrapolates a log singularity
+    at the end of a piece, so a contour root needs nothing but a cut at its
+    position.
     """
-    sgn = 1.0 if other > x0 else -1.0
-    span = abs(other - x0)
-    h = span * 0.25
-    lo, hi = sorted((x0 + sgn * h, other))
-    total, err = _quad(f, lo, hi)
-    for _ in range(80):
-        c = f(x0 + sgn * h) - mu * math.log(h)
-        tail = mu * (h * math.log(h) - h) + c * h
-        if abs(tail) <= PAD_BUDGET or h <= 1e-14 * max(1.0, span):
-            total += tail
-            err += 0.5 * abs(tail) + 1e-9
-            break
-        lo, hi = sorted((x0 + sgn * (h / 2.0), x0 + sgn * h))
-        v, e = _quad(f, lo, hi)
-        total += v
-        err += e
-        h /= 2.0
-    return total, err
-
-
-def _integrate_log_mag(f, a: float, b: float, singular, features):
-    """Piecewise adaptive integral of f over [a, b] with log singularities.
-
-    singular: (position, mu) pairs where f ~ mu*ln|x - pos|; features: plain
-    split points that help the adaptive rule (resonance and corner spots).
-    """
-    sing = sorted((x, m) for x, m in singular if a <= x <= b)
-    cuts = {a, b}
-    for x, _ in sing:
-        cuts.add(x)
-    for x in features:
-        if a < x < b and all(abs(x - s) > 1e-9 * max(1.0, abs(s)) for s, _ in sing):
-            cuts.add(x)
-    pts = sorted(cuts)
-    mu_at = {}
-    for x, m in sing:
-        mu_at[x] = mu_at.get(x, 0.0) + m
+    pts = [a]
+    for x in sorted({*(x for x in cuts if a < x < b), b}):
+        while 0.0 < pts[-1] and 10.0 * pts[-1] < x:
+            pts.append(10.0 * pts[-1])
+        pts.append(x)
     total = 0.0
     err = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
         if hi - lo <= 1e-15 * max(1.0, abs(hi)):
             continue
-        mu_lo = mu_at.get(lo)
-        mu_hi = mu_at.get(hi)
-        if mu_lo is None and mu_hi is None:
-            v, e = _quad(f, lo, hi)
-        elif mu_lo is not None and mu_hi is None:
-            v, e = _pad_side(f, lo, mu_lo, hi)
-        elif mu_lo is None and mu_hi is not None:
-            v, e = _pad_side(f, hi, mu_hi, lo)
-        else:
-            mid = 0.5 * (lo + hi)
-            v1, e1 = _pad_side(f, lo, mu_lo, mid)
-            v2, e2 = _pad_side(f, hi, mu_hi, mid)
-            v, e = v1 + v2, e1 + e2
+        v, e = _quad(f, lo, hi)
         total += v
         err += e
     return total, err
@@ -298,7 +231,9 @@ class BodeIntegralReport:
     limit_term        continuous: lim s*L(s); discrete: ln|1 + L(inf)|
     predicted         pi*rhp_pole_sum - (pi/2)*limit_term  (continuous)
                       2*pi*(rhp_pole_sum - limit_term)     (discrete)
-    quadrature_error  accumulated error estimate of the numeric integral
+    quadrature_error  error estimate of value: the sum of QUADPACK's estimates
+                      over the pieces, plus, in s, the tail-model term and the
+                      rounding of the integrand that the tail fit amplifies
     """
 
     value: float
@@ -320,22 +255,13 @@ def _bode_integral_dt(loop: RationalTransferFunction) -> BodeIntegralReport:
         lead_log, num_roots, den_roots, lambda th: cmath.exp(1j * th)
     )
 
-    def on_circle(roots, sign):
-        out = []
-        for r in roots:
-            if abs(abs(r) - 1.0) <= CONTOUR_TOL:
-                ph = cmath.phase(r)
-                if ph >= -1e-6:  # lower-half partners are covered by symmetry
-                    out.append((min(max(ph, 0.0), math.pi), sign))
-        return out
-
-    singular = _cluster_singular(
-        on_circle(num_roots, +1) + on_circle(den_roots, -1), 1e-6
-    )
-    features = sorted(
-        {abs(cmath.phase(r)) for r in (*num_roots, *den_roots)}
-    )
-    half, err = _integrate_log_mag(f, 0.0, math.pi, singular, features)
+    # each root of S cuts the half circle at its angle and at its angle plus
+    # and minus its distance to the circle, where its log peak widens
+    cuts = []
+    for r in (*num_roots, *den_roots):
+        pos, dist = abs(cmath.phase(r)), abs(1.0 - abs(r))
+        cuts += [pos - dist, pos, pos + dist]
+    half, err = _integrate_log_mag(f, 0.0, math.pi, cuts)
     # the integrand is even in theta, so the full-circle integral is twice
     # the half-range one; the result is reported in omega*ts units
     value = 2.0 * half
@@ -369,35 +295,30 @@ def _bode_integral_ct(loop: RationalTransferFunction) -> BodeIntegralReport:
     lead_log = math.log(abs(loop.den.lead / chi.lead))
     f = _factored_log_mag(lead_log, num_roots, den_roots, lambda w: 1j * w)
 
-    scale = max([1.0] + [abs(r) for r in (*num_roots, *den_roots)])
-    cutoff = 1e4 * scale
-
-    def on_axis(roots, sign):
-        out = []
-        for r in roots:
-            if abs(r.real) <= CONTOUR_TOL * max(1.0, abs(r)):
-                if r.imag >= -CONTOUR_TOL * max(1.0, abs(r)):
-                    out.append((max(r.imag, 0.0), sign))
-        return out
-
-    singular = _cluster_singular(
-        on_axis(num_roots, +1) + on_axis(den_roots, -1), 1e-6
-    )
-    features = sorted(
-        {abs(r.imag) for r in (*num_roots, *den_roots)}
-        | {abs(r) for r in (*num_roots, *den_roots)}
-    )
-    body, err = _integrate_log_mag(f, 0.0, cutoff, singular, features)
+    roots = (*num_roots, *den_roots)
+    scale = max([1.0] + [abs(r) for r in roots])
+    cutoff = 1e3 * scale
+    # each root of S cuts the axis at its height, at its height plus and
+    # minus its distance to the axis, and at its corner frequency
+    cuts = []
+    for r in roots:
+        pos, dist = abs(r.imag), abs(r.real)
+        cuts += [pos - dist, pos, pos + dist, abs(r)]
+    body, err = _integrate_log_mag(f, 0.0, cutoff, cuts)
 
     # Beyond the cutoff ln|S| ~ A/w^2 + B/w^4 (odd powers are imaginary for
     # real coefficients); fit the two constants at w and 2w and integrate the
-    # model to infinity.
+    # model to infinity.  The fit multiplies the rounding of f, which is a
+    # few ulp of each log term, by up to 17*cutoff/3.
     f1 = f(cutoff)
     f2 = f(2.0 * cutoff)
     a_fit = cutoff * cutoff * (16.0 * f2 - f1) / 3.0
     b_fit = (f1 - a_fit / (cutoff * cutoff)) * cutoff ** 4
     tail = a_fit / cutoff + b_fit / (3.0 * cutoff ** 3)
-    err += abs(b_fit) / (3.0 * cutoff ** 3) + 1e-10
+    rounding = 2.0 * math.ulp(1.0) * (
+        abs(lead_log) + sum(abs(math.log(abs(2j * cutoff - r))) + 1.0 for r in roots)
+    )
+    err += abs(b_fit) / (3.0 * cutoff ** 3) + 17.0 * cutoff / 3.0 * rounding + 1e-10
     value = body + tail
     if err > QUAD_ERROR_CEILING:
         raise RuntimeError(f"quadrature did not converge: achieved +-{err:.3g}")
@@ -415,11 +336,14 @@ def _bode_integral_ct(loop: RationalTransferFunction) -> BodeIntegralReport:
 def bode_integral(loop: RationalTransferFunction) -> BodeIntegralReport:
     """Numeric integral of ln|S| for the open loop, with theorem prediction.
 
-    Continuous: integral of ln|S(j*omega)| over omega in [0, inf), split into
-    segmented adaptive quadrature up to a cutoff plus an analytic asymptotic
-    tail.  Discrete: integral of ln|S(exp(j*omega*ts))| d(omega*ts) over the
-    full circle, reduced to [0, pi] by symmetry.  Contour zeros of S produce
-    integrable log singularities handled by shrinking analytic pads.
+    Continuous: integral of ln|S(j*omega)| over omega in [0, inf), as
+    adaptive quadrature up to a cutoff plus an analytic asymptotic tail.
+    Discrete: integral of ln|S(exp(j*omega*ts))| d(omega*ts) over the full
+    circle, reduced to [0, pi] by symmetry.  Each root of S cuts the range at
+    its position along the contour and at that position plus and minus its
+    distance to the contour, and each piece is one QUADPACK run.  A root on
+    the contour gives an integrable log singularity at the end of a piece,
+    which QUADPACK's extrapolation integrates.
     """
     if loop.is_discrete:
         return _bode_integral_dt(loop)
@@ -505,8 +429,8 @@ def check_constraints(
 
 def max_bandwidth(alpha: float, ts: float, spec: PeakSpec) -> float:
     """Largest estimator bandwidth meeting both peak budgets."""
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError("alpha must be positive and finite")
     if not (ts > 0.0 and math.isfinite(ts)):
         raise ValueError("ts must be positive and finite")
     return min(_peak_bounds(spec)) / (alpha * ts)

@@ -24,8 +24,8 @@ class DObParams:
     ts: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
+        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
+            raise ValueError("alpha must be positive and finite")
         if not (self.g_dob > 0.0 and math.isfinite(self.g_dob)):
             raise ValueError("g_dob must be positive and finite")
         if not self.g_v > 0.0:
@@ -57,7 +57,7 @@ class OuterGains:
     kd: float
 
     def __post_init__(self) -> None:
-        if not self.kp > 0.0:
-            raise ValueError("kp must be positive")
-        if self.kd < 0.0:
-            raise ValueError("kd must be nonnegative")
+        if not (self.kp > 0.0 and math.isfinite(self.kp)):
+            raise ValueError("kp must be positive and finite")
+        if not (self.kd >= 0.0 and math.isfinite(self.kd)):
+            raise ValueError("kd must be nonnegative and finite")

@@ -192,6 +192,87 @@ def test_waterbed_tradeoff_grows_with_bandwidth():
     assert values[0] > values[1] > values[2]
 
 
+def _exact_integral(L: RationalTransferFunction) -> float:
+    """Exact integral of the factored ln|S| over the computed roots of S.
+
+    In z, Jensen's formula gives the mean of ln|e^jt - r| over the circle as
+    ln max(1, |r|).  In s, ln|(jw - r)/(jw - q)| integrates over the whole
+    axis to pi*(|Re r| - |Re q|), and the roots come in conjugate pairs.
+    """
+    chi = L.den + L.num
+    zeros = poly_roots(L.den) if L.den.degree >= 1 else ()
+    poles = poly_roots(chi) if chi.degree >= 1 else ()
+    if L.is_discrete:
+        lead_log = math.log(abs(L.den.lead / chi.lead))
+        return 2.0 * math.pi * (
+            lead_log
+            + sum(math.log(max(1.0, abs(r))) for r in zeros)
+            - sum(math.log(max(1.0, abs(q))) for q in poles)
+        )
+    return 0.5 * math.pi * (
+        sum(abs(r.real) for r in zeros) - sum(abs(q.real) for q in poles)
+    )
+
+
+def _random_stable_loops(builder: str, count: int, seed: int) -> list[LoopSet]:
+    """count closed-loop-stable loops of one builder, log-uniform parameters."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def log_uniform(lo, hi):
+        return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
+
+    loops = []
+    while len(loops) < count:
+        alpha = log_uniform(0.1, 10.0)
+        gains = OuterGains(kp=log_uniform(1.0, 1e5), kd=log_uniform(0.01, 1e3))
+        if builder.endswith("z"):
+            ts = log_uniform(1e-5, 1e-2)
+            p = DObParams(alpha, log_uniform(1e-3, 2.0) / (alpha * ts), ts=ts)
+        else:
+            gv = log_uniform(10.0, 1e5) if rng.uniform() < 0.7 else math.inf
+            p = DObParams(alpha, log_uniform(1.0, 1e4), g_v=gv)
+        ls = {
+            "inner-s": lambda: inner_loop_ct(p),
+            "inner-z": lambda: inner_loop_dt(p),
+            "outer-s": lambda: outer_loop_ct(p, gains),
+            "outer-z": lambda: outer_loop_dt(p, gains),
+        }[builder]()
+        if is_stable(ls.S).is_stable:
+            loops.append(ls)
+    return loops
+
+
+def _assert_within_quadrature_error(ls: LoopSet) -> None:
+    r = bode_integral(ls.L)
+    exact = _exact_integral(ls.L)
+    assert abs(r.value - exact) <= r.quadrature_error, (r, exact)
+
+
+@pytest.mark.parametrize("builder", ["inner-s", "inner-z", "outer-s", "outer-z"])
+def test_bode_integral_against_exact_integral_random(builder):
+    for ls in _random_stable_loops(builder, 75, seed=2718):
+        _assert_within_quadrature_error(ls)
+
+
+@pytest.mark.parametrize(
+    "ls",
+    [
+        # g_v over three decades above g_dob spreads the roots of S
+        inner_loop_ct(
+            DObParams(alpha=1.2941390667632446, g_dob=2.7281241779049954, g_v=9134.917027409185)
+        ),
+        outer_loop_ct(
+            DObParams(alpha=0.5528124867560883, g_dob=1.1420557904803015, g_v=1948.020950930901),
+            OuterGains(kp=69.20088351742298, kd=2.233278968941267),
+        ),
+        *(_inner_dt(x) for x in (1e-9, 1e-6, 2.0 - 1e-6, 2.0 - 1e-8)),
+    ],
+    ids=["inner-s-gv", "outer-s-gv", "x=1e-9", "x=1e-6", "x=2-1e-6", "x=2-1e-8"],
+)
+def test_bode_integral_against_exact_integral_hard_cases(ls):
+    _assert_within_quadrature_error(ls)
+
+
 # -------------------------------------------------------------- constraints
 
 
@@ -309,8 +390,9 @@ def test_max_bandwidth_back_substitution():
 
 def test_max_bandwidth_validation():
     spec = PeakSpec(gamma_s=0.5, gamma_t=0.5)
-    with pytest.raises(ValueError, match="alpha"):
-        max_bandwidth(0.0, 1e-3, spec)
+    for alpha in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            max_bandwidth(alpha, 1e-3, spec)
     for ts in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="ts"):
             max_bandwidth(1.0, ts, spec)

@@ -3,12 +3,15 @@
 import csv
 import io
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import doblab
 from doblab.cli import CSV_BLOCK_ROWS, _write_csv, main
 
 SERVO_BASE = """
@@ -173,6 +176,43 @@ def test_tune_rejects_bad_ts(capsys, ts):
     assert err.startswith("error: ts must be positive")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["tune", "--alpha", "inf", "--ts", "1e-3", "--gammaS", "0.5", "--gammaT", "0.5"],
+            "alpha must be positive and finite",
+        ),
+        (
+            [
+                "constraints", "--alpha", "inf", "--gdob", "500", "--ts", "1e-3",
+                "--gammaS", "0.5", "--gammaT", "0.5",
+            ],
+            "alpha must be positive and finite",
+        ),
+        (
+            [
+                "constraints", "--alpha", "1", "--gdob", "500", "--ts", "1e-3",
+                "--gammaS", "0.5", "--gammaT", "0.5", "--kp", "1000", "--kd", "nan",
+            ],
+            "kd must be nonnegative and finite",
+        ),
+        (
+            [
+                "constraints", "--alpha", "1", "--gdob", "500", "--ts", "1e-3",
+                "--gammaS", "0.5", "--gammaT", "0.5", "--kp", "inf", "--kd", "250",
+            ],
+            "kp must be positive and finite",
+        ),
+    ],
+    ids=["tune-alpha-inf", "constraints-alpha-inf", "constraints-kd-nan", "constraints-kp-inf"],
+)
+def test_rejects_nonfinite_design_values(capsys, argv, message):
+    rc, out, err = _run(capsys, argv)
+    assert rc == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 # ------------------------------------------------------------ bode-integral
 
 
@@ -191,6 +231,30 @@ def test_bode_integral_report(capsys):
     values = {k: float(line.split(":")[1]) for k, line in zip(keys, lines)}
     assert values["predicted"] == pytest.approx(-50.0 * math.pi, rel=1e-12)
     assert values["value"] == pytest.approx(values["predicted"], rel=1e-3)
+
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # g_v over three decades above g_dob spreads the roots of S
+        [
+            "--loop", "inner", "--alpha", "1.2941390667632446",
+            "--gdob", "2.7281241779049954", "--gv", "9134.917027409185",
+        ],
+        [
+            "--loop", "outer", "--alpha", "0.5528124867560883",
+            "--gdob", "1.1420557904803015", "--gv", "1948.020950930901",
+            "--kp", "69.20088351742298", "--kd", "2.233278968941267",
+        ],
+    ],
+    ids=["inner", "outer"],
+)
+def test_bode_integral_balances_with_finite_gv(capsys, flags):
+    rc, out, err = _run(capsys, ["bode-integral", "--domain", "s", *flags])
+    assert rc == 0 and err == ""
+    values = {k: float(v) for k, v in (line.split(":") for line in out.splitlines())}
+    assert abs(values["value"] - values["predicted"]) <= values["quadrature_error"] <= 1e-4
 
 
 def test_bode_integral_discrete_balances(capsys):
@@ -421,6 +485,9 @@ def test_argparse_errors_exit_two():
 
 
 def test_module_entry_point_subprocess():
+    # the child imports the same doblab as this test, installed or not
+    src = str(Path(doblab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable, "-m", "doblab", "tune",
@@ -429,6 +496,7 @@ def test_module_entry_point_subprocess():
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "1000\n"

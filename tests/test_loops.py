@@ -36,8 +36,9 @@ SWEEP_GAINS = OuterGains(kp=1000.0, kd=250.0)
 
 
 def test_params_validation():
-    with pytest.raises(ValueError, match="alpha"):
-        DObParams(alpha=0.0, g_dob=100.0)
+    for alpha in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            DObParams(alpha=alpha, g_dob=100.0)
     with pytest.raises(ValueError, match="g_dob"):
         DObParams(alpha=1.0, g_dob=-5.0)
     with pytest.raises(ValueError, match="g_dob"):
@@ -46,10 +47,12 @@ def test_params_validation():
         DObParams(alpha=1.0, g_dob=100.0, g_v=0.0)
     with pytest.raises(ValueError, match="ts"):
         DObParams(alpha=1.0, g_dob=100.0, ts=0.0)
-    with pytest.raises(ValueError, match="kp"):
-        OuterGains(kp=0.0, kd=1.0)
-    with pytest.raises(ValueError, match="kd"):
-        OuterGains(kp=1.0, kd=-1.0)
+    for kp in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="kp must be positive and finite"):
+            OuterGains(kp=kp, kd=1.0)
+    for kd in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="kd must be nonnegative and finite"):
+            OuterGains(kp=1.0, kd=kd)
     # kd = 0 is a valid pure-proportional outer loop
     OuterGains(kp=1.0, kd=0.0)
 
