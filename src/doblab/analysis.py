@@ -54,6 +54,9 @@ __all__ = [
 # then to DC (any maximizer of an exactly flat magnitude is equally valid).
 PEAK_TIE_RTOL = 1e-12
 
+# Points of the grid that brackets the peak before golden-section refinement.
+PEAK_GRID_POINTS = 4096
+
 # A root this close to the frequency contour is treated as sitting on it.
 CONTOUR_TOL = 1e-7
 
@@ -94,13 +97,12 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, iters: int = 90
     return best_x, best_f
 
 
-def sensitivity_peak(
-    tf: RationalTransferFunction, grid_points: int = 4096
-) -> tuple[float, float]:
+def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
     """Worst-case magnitude over frequency and where it occurs.
 
-    A dense grid, evaluated as one array, brackets the maximum and
-    golden-section refines it.  Requires a strictly stable system.
+    A dense grid of PEAK_GRID_POINTS points, evaluated as one array,
+    brackets the maximum and golden-section refines it.  Requires a strictly
+    stable system.
 
     For sampled systems the grid spans [0, pi/ts] and includes both
     endpoints.  Any candidate within PEAK_TIE_RTOL (relative) of the largest
@@ -131,7 +133,7 @@ def sensitivity_peak(
 
     if tf.is_discrete:
         nyq = tf.nyquist
-        mags, (w_best, m_best) = grid_peak(np.linspace(0.0, nyq, grid_points))
+        mags, (w_best, m_best) = grid_peak(np.linspace(0.0, nyq, PEAK_GRID_POINTS))
         top = max(m_best, mags[-1])
         floor = top - PEAK_TIE_RTOL * max(top, 1e-300)
         if mags[-1] >= floor:
@@ -143,7 +145,7 @@ def sensitivity_peak(
     root_mags = [abs(r) for r in (*tf.zeros(), *tf.poles()) if abs(r) > 0.0]
     lo = min(root_mags) / 1e3 if root_mags else 1e-3
     hi = max(root_mags) * 1e3 if root_mags else 1e3
-    _, best = grid_peak(np.logspace(math.log10(lo), math.log10(hi), grid_points))
+    _, best = grid_peak(np.logspace(math.log10(lo), math.log10(hi), PEAK_GRID_POINTS))
     candidates = [best]
     try:
         candidates.append((0.0, mag(0.0)))
@@ -389,11 +391,16 @@ class ConstraintReport:
     margins: dict[str, float]
 
 
-def _outer_gain_rhs(p: DObParams, gains: OuterGains) -> float:
-    """Right-hand side of the printed outer-loop gain inequality 1/alpha < rhs."""
-    return 1.0 + p.g_dob * (
+def _outer_gain_margin(p: DObParams, gains: OuterGains) -> float:
+    """rhs - 1/alpha of the printed outer-loop gain inequality 1/alpha < rhs.
+
+    Positive exactly when the inequality holds: with gradual underflow two
+    doubles differ by zero only when equal, and an overflowed rhs gives +inf.
+    """
+    rhs = 1.0 + p.g_dob * (
         gains.kd / gains.kp + gains.kd / p.g_dob + gains.kd * gains.kd / gains.kp
     )
+    return rhs - 1.0 / p.alpha
 
 
 def _peak_bounds(spec: PeakSpec) -> tuple[float, float]:
@@ -414,9 +421,8 @@ def check_constraints(
     }
     outer_gain_ok: bool | None = None
     if gains is not None:
-        rhs = _outer_gain_rhs(p, gains)
-        margins["outer_gain"] = rhs - 1.0 / p.alpha
-        outer_gain_ok = 1.0 / p.alpha < rhs
+        margins["outer_gain"] = _outer_gain_margin(p, gains)
+        outer_gain_ok = margins["outer_gain"] > 0.0
     return ConstraintReport(
         inner_stable=classify_roots((complex(1.0 - x),), p.ts).is_stable,
         no_ringing=x <= 1.0,
@@ -447,13 +453,13 @@ class OuterGainAudit:
 
 
 def audit_outer_gain_condition(p: DObParams, gains: OuterGains) -> OuterGainAudit:
-    rhs = _outer_gain_rhs(p, gains)
-    predicate_ok = 1.0 / p.alpha < rhs
+    margin = _outer_gain_margin(p, gains)
+    predicate_ok = margin > 0.0
     loop = outer_loop_ct(p, gains)
     root_stable = is_stable(loop.S).is_stable
     return OuterGainAudit(
         predicate_ok=predicate_ok,
-        margin=rhs - 1.0 / p.alpha,
+        margin=margin,
         root_stable=root_stable,
         agree=predicate_ok == root_stable,
     )

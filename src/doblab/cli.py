@@ -145,7 +145,7 @@ def _cmd_rootlocus(args) -> int:
 
 
 def _cmd_constraints(args) -> int:
-    p = DObParams(alpha=args.alpha, g_dob=args.gdob, g_v=args.gv, ts=args.ts)
+    p = DObParams(alpha=args.alpha, g_dob=args.gdob, ts=args.ts)
     gains = None
     if args.kp is not None or args.kd is not None:
         gains = _outer_gains(args)
@@ -351,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cons = subs.add_parser("constraints", help="design-constraint report")
     cons.add_argument("--alpha", type=float, required=True)
     cons.add_argument("--gdob", type=float, required=True)
-    cons.add_argument("--gv", type=float, default=math.inf)
     cons.add_argument("--ts", type=float, required=True)
     cons.add_argument("--gammaS", type=float, required=True)
     cons.add_argument("--gammaT", type=float, required=True)

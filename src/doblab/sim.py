@@ -7,12 +7,15 @@ Between samples the double-integrator plant (optionally with viscous
 friction) is advanced by its exact closed form, so every deviation from the
 transfer-function theory is attributable to the controller, never to the
 integrator.
+
+The Python tick loop runs only that controller recurrence and the plant
+step.  Inputs are sampled as whole arrays before it, and the held columns,
+the sub-step rows and the NaN rows after a divergence are filled as whole
+arrays after it.
 """
 
 from __future__ import annotations
 
-import bisect
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -68,16 +71,14 @@ class PlantParams:
         if any(b <= a for a, b in zip(times[:-1], times[1:])):
             raise ValueError("external_load times must be strictly increasing")
 
-    @functools.cached_property
-    def _times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.external_load)
+    def load_at(self, t: float | np.ndarray) -> float | np.ndarray:
+        """Load torque in effect at time t (0 before the first entry).
 
-    def load_at(self, t: float) -> float:
-        """Load torque in effect at time t (0 before the first entry)."""
-        i = bisect.bisect_right(self._times, t)
-        if i == 0:
-            return 0.0
-        return self.external_load[i - 1][1]
+        t may be a float or an array of times; the result has its shape.
+        """
+        times = [when for when, _ in self.external_load]
+        torques = np.array([0.0] + [torque for _, torque in self.external_load])
+        return torques[np.searchsorted(times, t, side="right")]
 
 
 @dataclass(frozen=True)
@@ -212,6 +213,13 @@ def _plant_step(q, v, force, jm, b, dt):
 def simulate(sc: Scenario, log_substeps: int = 1) -> SimTrace:
     """Run the scenario tick by tick and log the trace.
 
+    Reference, load and noise are sampled for every tick before the loop,
+    which carries only the controller recurrence and the exact plant step
+    and records the tick state, the command and the estimate.
+    The loop stops at the first tick whose |q| exceeds DIVERGENCE_LIMIT; the
+    computed columns hold NaN from that tick's row on.  Held columns (q_ref,
+    tau_d, u, tau_d_hat) repeat each tick's value over its rows.
+
     log_substeps > 1 inserts extra rows inside each sampling period by
     evaluating the plant's closed form at fractional times, for all ticks at
     once after the tick loop; the states at controller ticks are bitwise
@@ -224,7 +232,7 @@ def simulate(sc: Scenario, log_substeps: int = 1) -> SimTrace:
     n = sc.n_steps
     m = log_substeps
     refs = sc.reference_samples()
-    noise = sc.noise_samples()
+    loads = sc.plant.load_at(np.arange(n) * ts)
 
     jm, kt, b = sc.plant.jm, sc.plant.kt, sc.plant.viscous
     # the mismatch ratio is realized through the nominal inertia; the nominal
@@ -235,37 +243,27 @@ def simulate(sc: Scenario, log_substeps: int = 1) -> SimTrace:
     g_v = sc.dob.g_v
     gains = sc.gains
 
-    rows = n * m
-    t = np.arange(rows) * (ts / m)
-    out = {
-        name: np.empty(rows)
-        for name in ("q_ref", "q", "qdot", "u", "tau_d", "tau_d_hat")
-    }
+    # per-tick records, the tick states as column 0 of the (tick, m) grids of
+    # logged rows; ticks after a divergence keep their NaN
+    qs, vs = np.full((2, n, m), math.nan)
+    q_k, v_k = qs[:, 0], vs[:, 0]
+    u_k, hat_k = np.full((2, n), math.nan)
 
     q = 0.0
     v = 0.0
     tau_hat = 0.0
     vf_prev = 0.0
     e_prev = 0.0
-    forces = []
     diverged_at: int | None = None
 
-    for k in range(n):
-        tk = k * ts
-        ref = refs[k]
-        load = sc.plant.load_at(tk)
-        base = k * m
-        out["q_ref"][base : base + m] = ref
-        out["tau_d"][base : base + m] = load
+    for k, (ref, load, w) in enumerate(
+        zip(refs.tolist(), loads.tolist(), sc.noise_samples().tolist())
+    ):
+        if abs(q) > DIVERGENCE_LIMIT:
+            diverged_at = k * m
+            break
 
-        if diverged_at is None and abs(q) > DIVERGENCE_LIMIT:
-            diverged_at = base
-        if diverged_at is not None:
-            for name in ("q", "qdot", "u", "tau_d_hat"):
-                out[name][base : base + m] = math.nan
-            continue
-
-        vm = v + noise[k]
+        vm = v + w
         if math.isinf(g_v):
             vf = vm
         else:
@@ -282,31 +280,23 @@ def simulate(sc: Scenario, log_substeps: int = 1) -> SimTrace:
         vf_prev = vf
         u = kt * (jn * acc_des + tau_hat) / ktn
 
-        force = u - load
-        forces.append(force)
-        out["q"][base] = q
-        out["qdot"][base] = v
-        out["u"][base : base + m] = u
-        out["tau_d_hat"][base : base + m] = tau_hat
-        q, v = _plant_step(q, v, force, jm, b, ts)
+        q_k[k], v_k[k], u_k[k], hat_k[k] = q, v, u, tau_hat
+        q, v = _plant_step(q, v, u - load, jm, b, ts)
 
-    # sub-step rows of the ticks that ran, one column j of the (tick, m) view
-    # at a time; rows from diverged_at on stay NaN
-    live = len(forces)
-    qs = out["q"][: live * m].reshape(live, m)
-    vs = out["qdot"][: live * m].reshape(live, m)
-    forces = np.array(forces)
+    # sub-step rows, one column j at a time; the NaN of unrun ticks carries
+    # through the closed form
+    forces = u_k - loads
     for j in range(1, m):
-        qs[:, j], vs[:, j] = _plant_step(qs[:, 0], vs[:, 0], forces, jm, b, j * (ts / m))
+        qs[:, j], vs[:, j] = _plant_step(q_k, v_k, forces, jm, b, j * (ts / m))
 
     return SimTrace(
-        t=t,
-        q_ref=out["q_ref"],
-        q=out["q"],
-        qdot=out["qdot"],
-        u=out["u"],
-        tau_d=out["tau_d"],
-        tau_d_hat=out["tau_d_hat"],
+        t=np.arange(n * m) * (ts / m),
+        q_ref=np.repeat(refs, m),
+        q=qs.ravel(),
+        qdot=vs.ravel(),
+        u=np.repeat(u_k, m),
+        tau_d=np.repeat(loads, m),
+        tau_d_hat=np.repeat(hat_k, m),
         diverged_at=diverged_at,
     )
 

@@ -422,11 +422,17 @@ def test_outer_gain_audit_flags_optimistic_predicate():
 
 
 def test_outer_gain_audit_margin_sign_matches_predicate():
-    for alpha in (1e-5, 1e-3, 0.1, 1.0):
-        audit = audit_outer_gain_condition(
-            DObParams(alpha=alpha, g_dob=750.0), SWEEP_GAINS
-        )
+    spec = PeakSpec(gamma_s=0.5, gamma_t=0.5)
+    cases = [(alpha, SWEEP_GAINS) for alpha in (1e-5, 1e-3, 0.1, 1.0)]
+    # kd/kp overflows, so the right-hand side of the inequality is infinite
+    cases.append((1.0, OuterGains(kp=1e-300, kd=1e300)))
+    for alpha, gains in cases:
+        p = DObParams(alpha=alpha, g_dob=750.0, ts=1e-3)
+        audit = audit_outer_gain_condition(p, gains)
+        report = check_constraints(p, gains, spec)
         assert audit.predicate_ok == (audit.margin > 0.0)
+        assert report.margins["outer_gain"] == audit.margin
+        assert report.outer_gain_ok == audit.predicate_ok
 
 
 # -------------------------------------------------------------- root locus

@@ -475,13 +475,21 @@ def test_repeat_invocations_byte_identical(capsys):
     assert first == second
 
 
-def test_argparse_errors_exit_two():
+def test_argparse_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["freq", "--domain", "q", "--loop", "inner", "--alpha", "1", "--gdob", "1"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    # constraints never read a velocity-filter bandwidth, so it takes no --gv
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "constraints", "--alpha", "1", "--gdob", "500", "--ts", "1e-3",
+            "--gammaS", "0.5", "--gammaT", "0.5", "--gv", "10",
+        ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --gv 10" in capsys.readouterr().err
 
 
 def test_module_entry_point_subprocess():

@@ -100,6 +100,13 @@ def test_load_at_semantics():
     assert plant.load_at(0.65) == 1.0
     assert plant.load_at(0.8) == -2.0
     assert plant.load_at(100.0) == -2.0  # last value holds
+    # an array of times gives the scalar answer element by element, also
+    # with no schedule at all
+    times = np.array([-1.0, 0.0, 0.49, 0.5, 0.65, 0.8, 100.0])
+    for p in (plant, PlantParams(jm=0.003, kt=0.25)):
+        loads = p.load_at(times)
+        assert loads.shape == times.shape
+        assert loads.tolist() == [p.load_at(float(t)) for t in times]
 
 
 def test_reference_and_noise_samples():
@@ -206,6 +213,111 @@ def test_noise_response_grows_with_bandwidth():
         y = noise_channel_oracle(p, noise)
         variances.append(float(np.var(y)))
     assert variances[0] < variances[1] < variances[2]
+
+
+# ------------------------------------------------- plain tick-loop reference
+
+
+def _reference_trace(sc, m):
+    """simulate written as a plain per-tick, per-row loop.
+
+    The load comes from a scan of the schedule and every sub-step row from
+    the scalar plant step, so no array code of simulate is reused.
+    """
+    ts = sc.dob.ts
+    plant, dob, gains = sc.plant, sc.dob, sc.gains
+    refs, noise = sc.reference_samples(), sc.noise_samples()
+    jn = dob.alpha * plant.jm
+    nan = math.nan
+    rows = []
+    q = v = tau_hat = vf_prev = e_prev = 0.0
+    diverged_at = None
+    for k in range(sc.n_steps):
+        ref = float(refs[k])
+        load = 0.0
+        for when, torque in plant.external_load:
+            if when <= k * ts:
+                load = torque
+        if diverged_at is None and abs(q) > DIVERGENCE_LIMIT:
+            diverged_at = k * m
+        if diverged_at is not None:
+            rows += [(ref, nan, nan, nan, load, nan)] * m
+            continue
+        vm = v + float(noise[k])
+        if math.isinf(dob.g_v):
+            vf = vm
+        else:
+            vf = (vf_prev + dob.g_v * ts * vm) / (1.0 + dob.g_v * ts)
+        acc_des = 0.0
+        if gains is not None:
+            e = ref - q
+            acc_des = gains.kp * e + gains.kd * (e - e_prev) / ts
+            e_prev = e
+        tau_hat = tau_hat + dob.g_dob * jn * (ts * acc_des - (vf - vf_prev))
+        vf_prev = vf
+        u = plant.kt * (jn * acc_des + tau_hat) / plant.kt
+        force = u - load
+        rows.append((ref, q, v, u, load, tau_hat))
+        for j in range(1, m):
+            qj, vj = _plant_step(q, v, force, plant.jm, plant.viscous, j * (ts / m))
+            rows.append((ref, qj, vj, u, load, tau_hat))
+        q, v = _plant_step(q, v, force, plant.jm, plant.viscous, ts)
+    t = [i * (ts / m) for i in range(len(rows))]
+    return [np.array(t)] + [np.array(col) for col in zip(*rows)], diverged_at
+
+
+def _draw_scenario(rng):
+    ts = float(rng.choice([1e-4, 2.5e-4, 1e-3]))
+    n = int(rng.integers(20, 300))
+    alpha = float(rng.uniform(0.5, 2.0))
+    # per-sample gains above 2.5 diverge well inside the run
+    x = float(rng.uniform(0.05, 1.9)) if rng.random() < 0.7 else float(rng.uniform(2.5, 3.5))
+    g_v = math.inf if rng.random() < 0.5 else float(rng.uniform(0.5, 5.0)) / ts
+    viscous = 0.0 if rng.random() < 0.5 else float(rng.uniform(1e-3, 0.5))
+    times = []
+    count = int(rng.integers(0, 5))
+    if count >= 1:
+        times.append(0.0)
+    if count >= 2:
+        times.append((int(rng.integers(1, n)) + 0.5) * ts)  # between ticks
+    times += [float(t) for t in rng.uniform(0.0, n * ts, max(count - 2, 0))]
+    times = sorted(set(times))
+    load = tuple((t, float(rng.uniform(-1.0, 1.0))) for t in times)
+    if rng.random() < 0.4:
+        reference = Trajectory(tuple(rng.normal(size=n).cumsum().tolist()))
+    else:
+        reference = Step(float(rng.uniform(-2.0, 2.0)))
+    gains = None
+    if rng.random() < 0.8:
+        gains = OuterGains(kp=float(10 ** rng.uniform(1, 4)), kd=float(10 ** rng.uniform(-1, 2)))
+    return Scenario(
+        plant=PlantParams(jm=0.003, kt=0.25, viscous=viscous, external_load=load),
+        dob=DObParams(alpha=alpha, g_dob=x / (alpha * ts), g_v=g_v, ts=ts),
+        gains=gains,
+        reference=reference,
+        duration=n * ts,
+        noise_seed=int(rng.integers(0, 2**31)),
+        noise_amplitude=0.0 if rng.random() < 0.5 else float(rng.uniform(1e-4, 0.05)),
+    )
+
+
+def test_simulate_bitwise_equals_plain_tick_loop():
+    rng = np.random.Generator(np.random.PCG64(2024))
+    diverged = 0
+    for _ in range(60):
+        sc = _draw_scenario(rng)
+        m = int(rng.integers(1, 13))
+        trace = simulate(sc, log_substeps=m)
+        want, diverged_at = _reference_trace(sc, m)
+        assert trace.diverged_at == diverged_at
+        diverged += diverged_at is not None
+        for name, col in zip(("t", "q_ref", "q", "qdot", "u", "tau_d", "tau_d_hat"), want):
+            got = getattr(trace, name)
+            assert got.shape == col.shape
+            assert np.array_equal(np.isnan(got), np.isnan(col)), name
+            live = ~np.isnan(col)
+            assert got[live].tobytes() == col[live].tobytes(), name
+    assert diverged >= 5
 
 
 # ------------------------------------------------------------- linearity
