@@ -26,8 +26,8 @@ from .lti import (
     classify_roots,
     is_stable,
     poly_roots,
+    stable_rows,
     stacked_roots,
-    tf_eval_grid,
 )
 from .loops import LoopSet, outer_loop_ct
 from .params import DObParams, OuterGains, per_sample_gain
@@ -54,8 +54,14 @@ __all__ = [
 # then to DC (any maximizer of an exactly flat magnitude is equally valid).
 PEAK_TIE_RTOL = 1e-12
 
-# Points of the grid that brackets the peak before golden-section refinement.
-PEAK_GRID_POINTS = 4096
+# Uniform points of the peak grid, both ends included; each root adds its
+# anchor points to them.
+PEAK_GRID_POINTS = 257
+
+# Golden-section refinement of a peak stops at a bracket this wide relative
+# to its far end: near a smooth maximum the location is determined only to
+# about sqrt(eps), so narrower brackets chase rounding.
+PEAK_XTOL = math.sqrt(math.ulp(1.0))
 
 # A root this close to the frequency contour is treated as sitting on it.
 CONTOUR_TOL = 1e-7
@@ -73,13 +79,15 @@ PENCIL_RTOL = 1e-12
 # peak search
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float, iters: int = 90):
+def _golden_max(f: Callable[[float], float], a: float, b: float):
+    """Best point that golden-section search for a maximum of f on [a, b] evaluates."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    tol = PEAK_XTOL * max(abs(a), abs(b))
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
     best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
-    for _ in range(iters):
+    while b - a > tol:
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
@@ -92,26 +100,134 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, iters: int = 90
             best_x, best_f = x1, f1
         if f2 > best_f:
             best_x, best_f = x2, f2
-        if b - a <= 1e-15 * max(1.0, abs(a), abs(b)):
-            break
     return best_x, best_f
+
+
+def _roots(p: Polynomial) -> tuple[complex, ...]:
+    """Roots of p, none for a constant."""
+    return poly_roots(p) if p.degree >= 1 else ()
+
+
+def _polished_roots(p: Polynomial) -> tuple[complex, ...]:
+    """_roots(p), each moved by one Newton step where that lowers |p|.
+
+    ``eigvals`` is backward stable in the norm of the whole companion
+    matrix, so with widely graded coefficients the small roots carry errors
+    of eps times the largest; one step on the polynomial itself removes
+    them.
+    """
+    slope = Polynomial(tuple(c * k for c, k in zip(p.coeffs, range(p.degree, 0, -1))))
+    out = []
+    for r in _roots(p):
+        res, d = p(r), slope(r)
+        if d != 0.0 and abs(p(r - res / d)) < abs(res):
+            r -= res / d
+        out.append(r)
+    return tuple(out)
+
+
+def _shift_to_one(p: Polynomial) -> Polynomial:
+    """p(1 + u) as a polynomial in u, each coefficient exact before one rounding.
+
+    Sampled integrators cluster roots at z = 1 closer together than
+    ``eigvals`` of the coefficients in z resolves.  As the small roots in
+    u = z - 1 (the delta-operator form, up to the factor ts) they are
+    resolved to their own relative precision.  The shift runs on the
+    coefficients scaled to integers, and integer division rounds correctly.
+    """
+    ratios = [c.as_integer_ratio() for c in p.coeffs]
+    scale = max(d for _, d in ratios)
+    b = [n * (scale // d) for n, d in ratios]
+    for i in range(p.degree):
+        for j in range(1, len(b) - i):
+            b[j] += b[j - 1]
+    return Polynomial(tuple(v / scale for v in b))
+
+
+def _contour_positions(roots, discrete: bool) -> list[tuple[float, float]]:
+    """(position along the frequency contour, distance to it) of each root.
+
+    In z these are the angle in [0, pi] and ||r| - 1|; in s, |Im r| and
+    |Re r|.  A root's log-magnitude term curves on the scale of its
+    distance, so its narrow features lie within a few distances of its
+    position.
+    """
+    if discrete:
+        return [(abs(cmath.phase(r)), abs(1.0 - abs(r))) for r in roots]
+    return [(abs(r.imag), abs(r.real)) for r in roots]
+
+
+def _peak_grid(uniform: np.ndarray, roots, discrete: bool) -> np.ndarray:
+    """uniform plus each root's anchors, sorted, inside [0, uniform[-1]].
+
+    A root's anchors are its position pos and pos +- dist*2^k for k from -3
+    until the offset passes the grid's end, so its peak is resolved at every
+    scale from dist/8 up.
+    """
+    end = uniform[-1]
+    pos, dist = np.array(_contour_positions(roots, discrete), dtype=float).reshape(-1, 2).T
+    positive = dist[dist > 0.0]
+    k_top = math.ceil(math.log2(end) - math.log2(positive.min())) if positive.size else -3
+    offsets = np.ldexp(dist[:, None], np.arange(-3, max(k_top, -3) + 1))
+    pts = np.concatenate(
+        [uniform, pos, (pos[:, None] - offsets).ravel(), (pos[:, None] + offsets).ravel()]
+    )
+    return np.unique(pts[(pts >= 0.0) & (pts <= end)])
+
+
+def _log_mag_grid(lead_log: float, plus_roots, minus_roots, points: np.ndarray):
+    """_factored_log_mag at every point of an array, as one expression."""
+
+    def total(roots) -> np.ndarray:
+        d = points[:, None] - np.array(roots, dtype=complex)
+        return np.log(np.maximum(np.hypot(d.real, d.imag), 1e-300)).sum(axis=1)
+
+    return lead_log + total(plus_roots) - total(minus_roots)
+
+
+def _unit_circle_minus_one(th):
+    """e^(j*th) - 1, accurate near DC, for a float or an array."""
+    if isinstance(th, float):
+        return complex(-2.0 * math.sin(0.5 * th) ** 2, math.sin(th))
+    return -2.0 * np.sin(0.5 * th) ** 2 + 1j * np.sin(th)
+
+
+def _imaginary_axis(w):
+    return 1j * w
 
 
 def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
     """Worst-case magnitude over frequency and where it occurs.
 
-    A dense grid of PEAK_GRID_POINTS points, evaluated as one array,
-    brackets the maximum and golden-section refines it.  Requires a strictly
-    stable system.
+    Requires a strictly stable proper system, and never refuses one.  The
+    numerator and the denominator are each solved once.  The poles give the
+    stability verdict, and the magnitude is lead_log + sum ln|p - zero| -
+    sum ln|p - pole|, never the expanded polynomials.  Sampled systems are
+    solved in u = z - 1 and evaluated at e^(j*theta) - 1, so roots clustered
+    at z = 1 keep their distances to the contour.
 
-    For sampled systems the grid spans [0, pi/ts] and includes both
-    endpoints.  Any candidate within PEAK_TIE_RTOL (relative) of the largest
-    magnitude found counts as a tie, and ties resolve in this order: the
-    Nyquist endpoint first, so the exactly flat case reports the
+    The grid is PEAK_GRID_POINTS uniform points plus each root's anchors
+    (_peak_grid), which resolve resonances narrower than the uniform
+    spacing.  It is evaluated as one array, and golden-section search
+    refines its best point on the scalar form of the same evaluator.
+
+    For sampled systems the uniform points span the angle [0, pi], DC and
+    Nyquist included.  Any candidate within PEAK_TIE_RTOL (relative) of the
+    largest magnitude found counts as a tie, and ties resolve in this order:
+    the Nyquist endpoint first, so the exactly flat case reports the
     conventional frequency; then DC, so a maximum at DC is not moved off it
     by last-digit rounding differences; then the grid or refined point.
+    Continuous systems get DC and log-spaced points from a thousandth of the
+    smallest nonzero root magnitude to a thousand times the largest, and a
+    biproper system reports omega = inf when its high-frequency gain is the
+    largest.
     """
-    verdict = is_stable(tf)
+    if tf.num.degree > tf.den.degree:
+        raise ValueError("not a proper rational function")
+    discrete = tf.is_discrete
+    num, den = (_shift_to_one(tf.num), _shift_to_one(tf.den)) if discrete else (tf.num, tf.den)
+    poles = _polished_roots(den)
+    verdict = classify_roots(tuple(1.0 + u for u in poles) if discrete else poles, tf.ts)
     if verdict.stability is not Stability.STABLE:
         kind = (
             "unstable"
@@ -119,45 +235,43 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
             else "marginally stable"
         )
         raise ValueError(f"peak undefined for {kind} system")
+    if num.is_zero:
+        return (tf.nyquist if discrete else 0.0), 0.0
+    zeros = _polished_roots(num)
+    lead_log = math.log(abs(num.lead / den.lead))
 
-    def mag(w: float) -> float:
-        return abs(tf.at_frequency(w))
+    roots = (*zeros, *poles)
+    if discrete:
+        uniform = np.linspace(0.0, math.pi, PEAK_GRID_POINTS)
+        roots, point_of = [1.0 + u for u in roots], _unit_circle_minus_one
+    else:
+        root_mags = [abs(r) for r in roots if abs(r) > 0.0]
+        lo = min(root_mags) / 1e3 if root_mags else 1e-3
+        hi = max(root_mags) * 1e3 if root_mags else 1e3
+        span = np.logspace(math.log10(lo), math.log10(hi), PEAK_GRID_POINTS)
+        uniform, point_of = np.concatenate([[0.0], span]), _imaginary_axis
+    grid = _peak_grid(uniform, roots, discrete)
+    logs = _log_mag_grid(lead_log, zeros, poles, point_of(grid))
+    i = int(np.argmax(logs))
+    refined = _golden_max(
+        _factored_log_mag(lead_log, zeros, poles, point_of),
+        float(grid[max(i - 1, 0)]),
+        float(grid[min(i + 1, len(grid) - 1)]),
+    )
+    x_best, l_best = max([(float(grid[i]), float(logs[i])), refined], key=lambda c: c[1])
+    m_best = math.exp(l_best)
 
-    def grid_peak(om: np.ndarray):
-        _, num, den = tf_eval_grid(tf, om)
-        mags = np.abs(num / den)
-        i = int(np.argmax(mags))
-        w_ref, m_ref = _golden_max(mag, om[max(i - 1, 0)], om[min(i + 1, len(om) - 1)])
-        candidates = [(float(om[i]), float(mags[i])), (float(w_ref), float(m_ref))]
-        return mags, max(candidates, key=lambda c: c[1])
-
-    if tf.is_discrete:
-        nyq = tf.nyquist
-        mags, (w_best, m_best) = grid_peak(np.linspace(0.0, nyq, PEAK_GRID_POINTS))
-        top = max(m_best, mags[-1])
-        floor = top - PEAK_TIE_RTOL * max(top, 1e-300)
-        if mags[-1] >= floor:
-            return nyq, float(mags[-1])
-        if mags[0] >= floor:
-            return 0.0, float(mags[0])
-        return w_best, m_best
-
-    root_mags = [abs(r) for r in (*tf.zeros(), *tf.poles()) if abs(r) > 0.0]
-    lo = min(root_mags) / 1e3 if root_mags else 1e-3
-    hi = max(root_mags) * 1e3 if root_mags else 1e3
-    _, best = grid_peak(np.logspace(math.log10(lo), math.log10(hi), PEAK_GRID_POINTS))
-    candidates = [best]
-    try:
-        candidates.append((0.0, mag(0.0)))
-    except ValueError:
-        pass
+    if discrete:
+        floor = m_best - PEAK_TIE_RTOL * max(m_best, 1e-300)
+        for k, w in ((-1, tf.nyquist), (0, 0.0)):
+            if math.exp(logs[k]) >= floor:
+                return w, math.exp(logs[k])
+        return x_best / tf.ts, m_best
     if tf.num.degree == tf.den.degree:
         asym = abs(tf.num.lead / tf.den.lead)
-        w_best, m_best = max(candidates, key=lambda c: c[1])
         if asym > m_best:
             return math.inf, asym
-        return w_best, m_best
-    return max(candidates, key=lambda c: c[1])
+    return x_best, m_best
 
 
 def nyquist_s_magnitude(gain_product: float) -> float:
@@ -249,8 +363,7 @@ def _bode_integral_dt(loop: RationalTransferFunction) -> BodeIntegralReport:
     chi = loop.den + loop.num
     if chi.is_zero:
         raise ValueError("degenerate loop: 1 + L vanishes identically")
-    num_roots = poly_roots(loop.den) if loop.den.degree >= 1 else ()
-    den_roots = poly_roots(chi) if chi.degree >= 1 else ()
+    num_roots, den_roots = _roots(loop.den), _roots(chi)
     lead_log = math.log(abs(loop.den.lead / chi.lead))
 
     f = _factored_log_mag(
@@ -259,10 +372,11 @@ def _bode_integral_dt(loop: RationalTransferFunction) -> BodeIntegralReport:
 
     # each root of S cuts the half circle at its angle and at its angle plus
     # and minus its distance to the circle, where its log peak widens
-    cuts = []
-    for r in (*num_roots, *den_roots):
-        pos, dist = abs(cmath.phase(r)), abs(1.0 - abs(r))
-        cuts += [pos - dist, pos, pos + dist]
+    cuts = [
+        x
+        for pos, dist in _contour_positions((*num_roots, *den_roots), True)
+        for x in (pos - dist, pos, pos + dist)
+    ]
     half, err = _integrate_log_mag(f, 0.0, math.pi, cuts)
     # the integrand is even in theta, so the full-circle integral is twice
     # the half-range one; the result is reported in omega*ts units
@@ -290,8 +404,7 @@ def _bode_integral_ct(loop: RationalTransferFunction) -> BodeIntegralReport:
             "integral diverges: continuous loop must have relative degree >= 1"
         )
     chi = loop.den + loop.num
-    num_roots = poly_roots(loop.den) if loop.den.degree >= 1 else ()
-    den_roots = poly_roots(chi) if chi.degree >= 1 else ()
+    num_roots, den_roots = _roots(loop.den), _roots(chi)
     # S is biproper with unit high-frequency gain here (chi shares the
     # leading coefficient of den when rel_deg >= 1)
     lead_log = math.log(abs(loop.den.lead / chi.lead))
@@ -302,10 +415,11 @@ def _bode_integral_ct(loop: RationalTransferFunction) -> BodeIntegralReport:
     cutoff = 1e3 * scale
     # each root of S cuts the axis at its height, at its height plus and
     # minus its distance to the axis, and at its corner frequency
-    cuts = []
-    for r in roots:
-        pos, dist = abs(r.imag), abs(r.real)
-        cuts += [pos - dist, pos, pos + dist, abs(r)]
+    cuts = [
+        x
+        for (pos, dist), r in zip(_contour_positions(roots, False), roots)
+        for x in (pos - dist, pos, pos + dist, abs(r))
+    ]
     body, err = _integrate_log_mag(f, 0.0, cutoff, cuts)
 
     # Beyond the cutoff ln|S| ~ A/w^2 + B/w^4 (odd powers are imaginary for
@@ -551,32 +665,37 @@ def root_locus(
 
     pencil = _affine_pencil(build, vals)
     if pencil is None:
+        # every value built; the rows are solved and classified in groups of
+        # one degree and one sample time
         loops = [build(v) for v in vals]
-        chis = [ls.S.den for ls in loops]
-        tss = [ls.L.ts for ls in loops]
+        groups: dict[tuple[int, float | None], list[int]] = {}
+        for i, (v, ls) in enumerate(zip(vals, loops)):
+            if ls.S.den.degree < 1:
+                try:
+                    poly_roots(ls.S.den)  # raises: there is nothing to solve
+                except ValueError as exc:
+                    raise failed(v, exc) from exc
+            groups.setdefault((ls.S.den.degree, ls.L.ts), []).append(i)
+        roots: list = [None] * len(vals)
+        stable: list = [None] * len(vals)
+        for (_, ts), idx in groups.items():
+            r = stacked_roots(np.array([loops[i].S.den.coeffs for i in idx]))
+            for i, ri, si in zip(idx, r.tolist(), stable_rows(r, ts).tolist()):
+                roots[i], stable[i] = ri, si
     else:
         a, b, ts = pencil
-        chis = []
-        for v, row in zip(vals, (a + np.array(vals)[:, None] * b).tolist()):
-            try:
-                chis.append(Polynomial(row))
-            except ValueError as exc:
-                raise failed(v, exc) from exc
-        tss = [ts] * len(vals)
-    try:
-        roots = stacked_roots(chis)
-    except ValueError:
-        # the stacked solve fails as a whole: find the first value that fails alone
-        for v, chi in zip(vals, chis):
-            try:
-                poly_roots(chi)
-            except ValueError as exc:
-                raise failed(v, exc) from exc
-        raise
+        with np.errstate(over="ignore", invalid="ignore"):  # rows are checked next
+            rows = a + np.array(vals)[:, None] * b
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            v = vals[int(np.argmin(finite))]
+            raise failed(v, ValueError("polynomial coefficients must be finite"))
+        r = stacked_roots(rows)
+        roots, stable = r.tolist(), stable_rows(r, ts).tolist()
     return RootLocusTable(
         tuple(
-            RootLocusRow(param=v, roots=r, stable=classify_roots(r, ts).is_stable)
-            for v, r, ts in zip(vals, roots, tss)
+            RootLocusRow(param=v, roots=tuple(ri), stable=si)
+            for v, ri, si in zip(vals, roots, stable)
         )
     )
 
@@ -609,8 +728,7 @@ def critical_parameter(
         a, b, ts = pencil
 
         def stable_at(v: float) -> bool:
-            roots = poly_roots(Polynomial((a + v * b).tolist()))
-            return classify_roots(roots, ts).is_stable
+            return bool(stable_rows(stacked_roots((a + v * b)[None, :]), ts)[0])
 
     s_lo = stable_at(lo)
     if s_lo == stable_at(hi):

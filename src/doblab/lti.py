@@ -12,7 +12,6 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +26,7 @@ __all__ = [
     "tf_eval_grid",
     "tf_connect",
     "classify_roots",
+    "stable_rows",
     "is_stable",
     "BOUNDARY_TOL",
 ]
@@ -114,39 +114,30 @@ def poly_roots(p: Polynomial) -> tuple[complex, ...]:
     ranges tractable.  Roots come back sorted by (real, imag) so repeated
     calls are deterministic.
     """
-    return stacked_roots([p])[0]
+    if p.is_zero:
+        raise ValueError("undefined roots: zero polynomial")
+    if p.degree < 1:
+        raise ValueError("undefined roots: degree must be at least 1")
+    return tuple(stacked_roots(np.array([p.coeffs]))[0].tolist())
 
 
-def stacked_roots(polys: Sequence[Polynomial]) -> list[tuple[complex, ...]]:
-    """poly_roots of every polynomial, with one ``eigvals`` call per degree.
+def stacked_roots(rows: np.ndarray) -> np.ndarray:
+    """Sorted roots of every row of a 2-D coefficient array, one ``eigvals`` call.
 
-    LAPACK solves each matrix of a stack on its own, so entry i is bitwise
-    what solving polys[i] alone gives.  The first polynomial without roots
-    (zero, or of degree 0) makes the whole call raise.
+    Each row holds one polynomial's coefficients, highest degree first, with
+    a nonzero leading coefficient; all rows share the degree, at least 1.
+    LAPACK solves each matrix of the stack on its own, so row i of the
+    result is bitwise what poly_roots gives for row i alone.
     """
-    monic = []
-    for p in polys:
-        if p.is_zero:
-            raise ValueError("undefined roots: zero polynomial")
-        if p.degree < 1:
-            raise ValueError("undefined roots: degree must be at least 1")
-        a = np.asarray(p.coeffs, dtype=float)
-        monic.append(a / a[0])
-    out: list[tuple[complex, ...]] = [()] * len(monic)
-    for size in sorted({len(a) for a in monic}):
-        idx = [i for i, a in enumerate(monic) if len(a) == size]
-        rows = np.array([monic[i] for i in idx])
-        n = size - 1
-        if n == 1:
-            roots = (-rows[:, 1:]).astype(complex)
-        else:
-            comp = np.zeros((len(idx), n, n))
-            comp[:, 0, :] = -rows[:, 1:]
-            comp[:, 1:, :-1] = np.eye(n - 1)
-            roots = np.sort_complex(np.linalg.eigvals(comp))
-        for i, r in zip(idx, roots.tolist()):
-            out[i] = tuple(r)
-    return out
+    rows = np.asarray(rows, dtype=float)
+    monic = rows[:, 1:] / rows[:, :1]
+    n = monic.shape[1]
+    if n == 1:
+        return (-monic).astype(complex)
+    comp = np.zeros((len(rows), n, n))
+    comp[:, 0, :] = -monic
+    comp[:, 1:, :-1] = np.eye(n - 1)
+    return np.sort_complex(np.linalg.eigvals(comp))
 
 
 @dataclass(frozen=True)
@@ -177,11 +168,6 @@ class RationalTransferFunction:
         if self.den.degree < 1:
             return ()
         return poly_roots(self.den)
-
-    def zeros(self) -> tuple[complex, ...]:
-        if self.num.is_zero or self.num.degree < 1:
-            return ()
-        return poly_roots(self.num)
 
     def at_frequency(self, omega: float) -> complex:
         """Evaluate on the frequency contour: s = j*omega or z = exp(j*omega*ts)."""
@@ -237,6 +223,15 @@ class StabilityVerdict:
         return self.stability is Stability.STABLE
 
 
+def _band(margin):
+    """(stable, not unstable) for a worst-root margin, elementwise on arrays.
+
+    This is the one definition of the stability boundary: a margin within
+    BOUNDARY_TOL of zero is Marginal.
+    """
+    return margin < -BOUNDARY_TOL, margin <= BOUNDARY_TOL
+
+
 def classify_roots(roots, ts: float | None) -> StabilityVerdict:
     """Stability verdict for a bare root set (ts=None means continuous)."""
     if not roots:
@@ -247,13 +242,28 @@ def classify_roots(roots, ts: float | None) -> StabilityVerdict:
     else:
         worst = max(roots, key=abs)
         margin = abs(worst) - 1.0
-    if margin < -BOUNDARY_TOL:
+    stable, bounded = _band(margin)
+    if stable:
         verdict = Stability.STABLE
-    elif margin <= BOUNDARY_TOL:
+    elif bounded:
         verdict = Stability.MARGINAL
     else:
         verdict = Stability.UNSTABLE
     return StabilityVerdict(verdict, worst)
+
+
+def stable_rows(roots: np.ndarray, ts: float | None) -> np.ndarray:
+    """classify_roots(row, ts).is_stable of every row of a 2-D root array.
+
+    One pass over the whole array.  ``np.hypot`` of the parts is bitwise
+    Python's ``abs`` of a complex (``np.abs`` is not), so each flag is the
+    scalar verdict exactly.
+    """
+    if ts is None:
+        margin = roots.real.max(axis=1)
+    else:
+        margin = np.hypot(roots.real, roots.imag).max(axis=1) - 1.0
+    return _band(margin)[0]
 
 
 def is_stable(tf: RationalTransferFunction) -> StabilityVerdict:

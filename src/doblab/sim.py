@@ -192,19 +192,27 @@ def aggregate_mismatch(jn: float, ktn: float, jm: float, kt: float) -> float:
     return (kt * jn) / (ktn * jm)
 
 
-def _plant_step(q, v, force, jm, b, dt):
+def _viscous_decay(jm, b, dt):
+    """exp(-b*dt/jm) and -expm1(-b*dt/jm), the viscous closed form's factors.
+
+    They depend only on the plant and the step length, so a run computes
+    them once per dt.  expm1 keeps the small-dt difference accurate.
+    """
+    return math.exp(-b * dt / jm), -math.expm1(-b * dt / jm)
+
+
+def _plant_step(q, v, force, jm, b, dt, factors):
     """Exact state advance under constant force over dt.
 
-    q, v and force may be arrays of one shape; dt and the plant are scalars.
+    q, v and force may be arrays of one shape; dt and the plant are scalars,
+    and factors is _viscous_decay(jm, b, dt).
     """
     if b == 0.0:
         a = force / jm
         return q + dt * v + 0.5 * dt * dt * a, v + dt * a
-    # m*vdot = F - b*v  has the closed form below; expm1 keeps the small-dt
-    # difference accurate
+    # m*vdot = F - b*v  has the closed form below
     vinf = force / b
-    decay = math.exp(-b * dt / jm)
-    grow = -math.expm1(-b * dt / jm)
+    decay, grow = factors
     q1 = q + vinf * dt + (v - vinf) * (jm / b) * grow
     v1 = vinf + (v - vinf) * decay
     return q1, v1
@@ -255,6 +263,7 @@ def simulate(sc: Scenario, log_substeps: int = 1) -> SimTrace:
     vf_prev = 0.0
     e_prev = 0.0
     diverged_at: int | None = None
+    tick_decay = _viscous_decay(jm, b, ts)
 
     for k, (ref, load, w) in enumerate(
         zip(refs.tolist(), loads.tolist(), sc.noise_samples().tolist())
@@ -281,13 +290,14 @@ def simulate(sc: Scenario, log_substeps: int = 1) -> SimTrace:
         u = kt * (jn * acc_des + tau_hat) / ktn
 
         q_k[k], v_k[k], u_k[k], hat_k[k] = q, v, u, tau_hat
-        q, v = _plant_step(q, v, u - load, jm, b, ts)
+        q, v = _plant_step(q, v, u - load, jm, b, ts, tick_decay)
 
     # sub-step rows, one column j at a time; the NaN of unrun ticks carries
     # through the closed form
     forces = u_k - loads
     for j in range(1, m):
-        qs[:, j], vs[:, j] = _plant_step(q_k, v_k, forces, jm, b, j * (ts / m))
+        dt = j * (ts / m)
+        qs[:, j], vs[:, j] = _plant_step(q_k, v_k, forces, jm, b, dt, _viscous_decay(jm, b, dt))
 
     return SimTrace(
         t=np.arange(n * m) * (ts / m),

@@ -23,6 +23,7 @@ from doblab.analysis import (
 )
 from doblab.loops import LoopSet, inner_loop_ct, inner_loop_dt, outer_loop_ct, outer_loop_dt
 from doblab.lti import (
+    BOUNDARY_TOL,
     Polynomial,
     RationalTransferFunction,
     classify_roots,
@@ -271,6 +272,119 @@ def test_bode_integral_against_exact_integral_random(builder):
 )
 def test_bode_integral_against_exact_integral_hard_cases(ls):
     _assert_within_quadrature_error(ls)
+
+
+# ------------------------------------------------------ peaks against oracles
+
+
+def _mp_magnitude(tf: RationalTransferFunction, omega: float):
+    """50-digit |tf| at omega, from the stored coefficients."""
+    with mpmath.workdps(50):
+        w = mpmath.mpf(omega)
+        p = mpmath.mpc(0, w) if tf.ts is None else mpmath.expj(w * mpmath.mpf(tf.ts))
+        num = mpmath.polyval([mpmath.mpf(c) for c in tf.num.coeffs], p)
+        return abs(num / mpmath.polyval([mpmath.mpf(c) for c in tf.den.coeffs], p))
+
+
+def _mp_golden_max(f, lo: float, hi: float):
+    """Maximizer of a unimodal f on [lo, hi] by 120 golden-section steps."""
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        invphi = (mpmath.sqrt(5) - 1) / 2
+        for _ in range(120):
+            x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+            if f(x1) >= f(x2):
+                hi = x2
+            else:
+                lo = x1
+        return (lo + hi) / 2
+
+
+def _dense_factored_max(tf: RationalTransferFunction) -> float:
+    """Largest |tf| on a dense root-agnostic grid, factored over 30-digit roots.
+
+    In z the grid is uniform and geometric in the angle, and each factor is
+    (e^jt - 1) - (r - 1), so roots clustered at z = 1 keep their distances.
+    In s it is DC plus a geometric grid from 1e-4 of the smallest root
+    magnitude to 1e4 times the largest.
+    """
+    with mpmath.workdps(30):
+
+        def roots(p):
+            if p.degree < 1:
+                return np.zeros(0, dtype=complex)
+            # Durand-Kerner from numpy's roots, turned off the real axis so
+            # that real starts can become a complex pair; it raises unless
+            # converged
+            start = [mpmath.mpc(r * (1 + 1e-6j)) for r in np.roots(p.coeffs)]
+            rs = mpmath.polyroots(
+                [mpmath.mpf(c) for c in p.coeffs], maxsteps=100, extraprec=100, roots_init=start
+            )
+            shift = 0 if tf.ts is None else 1
+            return np.array([complex(r - shift) for r in rs])
+
+        zeros, poles = roots(tf.num), roots(tf.den)
+    lead_log = math.log(abs(tf.num.lead / tf.den.lead))
+    if tf.ts is None:
+        mags = np.abs(np.concatenate([zeros, poles]))
+        mags = mags[mags > 0.0]
+        pts = 1j * np.concatenate(
+            [[0.0], np.geomspace(mags.min() * 1e-4, mags.max() * 1e4, 40001)]
+        )
+    else:
+        th = np.concatenate([np.linspace(0.0, math.pi, 20001), np.geomspace(1e-9, math.pi, 20001)])
+        pts = -2.0 * np.sin(0.5 * th) ** 2 + 1j * np.sin(th)
+
+    def total(rs):
+        return np.log(np.abs(pts[:, None] - rs[None, :])).sum(axis=1)
+
+    with np.errstate(divide="ignore"):
+        return math.exp(float(np.max(lead_log + total(zeros) - total(poles))))
+
+
+@pytest.mark.parametrize("builder", ["inner-s", "inner-z", "outer-s", "outer-z"])
+def test_sensitivity_peak_against_dense_grid_and_mpmath(builder):
+    # 25 stable loops give 50 peaks, of S and of T
+    for ls in _random_stable_loops(builder, 25, seed=1729):
+        for tf in (ls.S, ls.T):
+            omega, peak = sensitivity_peak(tf)
+            assert peak >= _dense_factored_max(tf) * (1.0 - 1e-9), (tf, omega, peak)
+            if math.isfinite(omega):
+                want = _mp_magnitude(tf, omega)
+                assert abs(peak - want) <= 1e-12 * want, (tf, omega, peak)
+            else:
+                assert peak == abs(tf.num.lead / tf.den.lead)
+
+
+def test_sensitivity_peak_narrow_low_frequency_resonance():
+    # closed-loop poles at 0.99998 +- 1.2e-4j put a resonance of |S| at
+    # 1.9 rad/s, well inside the first 12 rad/s of a uniform grid over
+    # [0, pi/ts]; such a grid reported (5496.14, 1.00020)
+    p = DObParams(alpha=5.7648265887390435, g_dob=14.23361007584627, ts=6.582776545701536e-05)
+    gains = OuterGains(kp=3.4305922100365893, kd=0.5556386927921653)
+    ls = outer_loop_dt(p, gains)
+    omega, peak = sensitivity_peak(ls.S)
+
+    # the function the search is given: S's stored coefficients
+    w_coeffs = _mp_golden_max(lambda w: _mp_magnitude(ls.S, w), 1.0, 3.0)
+    assert abs(peak / _mp_magnitude(ls.S, w_coeffs) - 1) <= 1e-9
+    assert abs(omega / w_coeffs - 1) <= 1e-6
+
+    # the loop's factored blocks; expanding them into S's coefficients moves
+    # the peak by 6.5e-7 in value and 6.7e-7 in frequency
+    with mpmath.workdps(50):
+        a, g, ts, kp, kd = (mpmath.mpf(v) for v in (p.alpha, p.g_dob, p.ts, gains.kp, gains.kd))
+
+        def s_blocks(w):
+            z = mpmath.expj(w * ts)
+            pd = ((kp + kd / ts) * z - kd / ts) / z
+            ci = a * ((1 + g * ts) * z - 1) / (z - 1 + a * g * ts)
+            plant = ts * ts / 2 * (z + 1) / (z - 1) ** 2
+            return abs(1 / (1 + pd * ci * plant))
+
+        w_blocks = _mp_golden_max(s_blocks, 1.0, 3.0)
+        assert abs(peak / s_blocks(w_blocks) - 1) <= 1e-6
+    assert abs(omega / w_blocks - 1) <= 1e-6
 
 
 # -------------------------------------------------------------- constraints
@@ -533,7 +647,7 @@ def _exact_outer_dt_roots(alpha: float, g_dob: float, ts: float = 1e-3):
         den = mul(mul([1, 0], [1, a * g * t - 1]), [1, -2, 1])
         num = mul(mul([kp + kd / t, -kd / t], [a * (1 + g * t), -a]), [t * t / 2, t * t / 2])
         chi = [d + n for d, n in zip(den, [0] + num)]
-        return [complex(r) for r in mpmath.polyroots(chi, maxsteps=200, extraprec=100)]
+        return [complex(r) for r in mpmath.polyroots(chi, maxsteps=200, extraprec=200)]
 
 
 @pytest.mark.parametrize(
@@ -568,6 +682,61 @@ def test_root_locus_affine_pencil_against_mpmath(build, exact, values):
             assert abs(got.pop(j) - r) <= 1e-11 * scale, row.param
 
 
+def _pencil_loop(v: float, ts: float | None) -> LoopSet:
+    """chi = z^2 - z + v, whose complex roots have |r|^2 = v, or chi = s + v."""
+    if ts is None:
+        L = RationalTransferFunction(Polynomial((v,)), Polynomial((1.0, 0.0)))
+    else:
+        L = RationalTransferFunction(Polynomial((v,)), Polynomial((1.0, -1.0, 0.0)), ts=ts)
+    return LoopSet.from_open_loop(L)
+
+
+@pytest.mark.parametrize(
+    "ts, center",
+    [
+        (1e-3, (1.0 - BOUNDARY_TOL) ** 2),
+        (1e-3, (1.0 + BOUNDARY_TOL) ** 2),
+        (None, BOUNDARY_TOL),
+    ],
+    ids=["z-stable-edge", "z-unstable-edge", "s-stable-edge"],
+)
+def test_root_locus_flags_at_the_boundary_band_edges(ts, center):
+    # 401 values within 200 ulp of the value that puts the worst root on a
+    # band edge; the flags of the one array pass must be the scalar verdicts
+    values = [center + k * math.ulp(center) for k in range(-200, 201)]
+    counted = _Counted(lambda v: _pencil_loop(v, ts))
+    table = root_locus(counted, values)
+    assert counted.calls == 3
+    flags = [row.stable for row in table]
+    assert flags == [classify_roots(row.roots, ts).is_stable for row in table]
+    if center < 1.0:
+        # the stable edge is crossed inside the sweep
+        assert any(flags) and not all(flags)
+
+
+def test_root_locus_flags_equal_classify_roots_on_seeded_pencils():
+    rng = np.random.Generator(np.random.PCG64(31))
+    flips = 0
+    for _ in range(20):
+        g_dob, ts = float(10 ** rng.uniform(1, 4)), float(10 ** rng.uniform(-5, -2))
+        gains = OuterGains(kp=float(10 ** rng.uniform(0, 5)), kd=float(10 ** rng.uniform(-2, 3)))
+        g_v = float(10 ** rng.uniform(1, 5))
+
+        def build_z(alpha):
+            return outer_loop_dt(DObParams(alpha=alpha, g_dob=g_dob, ts=ts), gains)
+
+        def build_s(alpha):
+            return outer_loop_ct(DObParams(alpha=alpha, g_dob=g_dob, g_v=g_v), gains)
+
+        for build in (build_z, build_s):
+            table = root_locus(build, np.geomspace(0.05, 20.0, 300))
+            ts_row = build(1.0).L.ts
+            for row in table:
+                assert row.stable == classify_roots(row.roots, ts_row).is_stable
+            flips += table.flip_count()
+    assert flips >= 20  # most sweeps cross the boundary
+
+
 def test_root_locus_annotates_failures():
     def build(v: float) -> LoopSet:
         if v > 3.0:
@@ -594,6 +763,13 @@ def test_root_locus_annotates_failures():
 
     with pytest.raises(ValueError, match=r"failed at parameter 5\.0: undefined roots"):
         root_locus(static_build, [1.0, 2.0, 5.0, 6.0])
+
+    # an affine sweep whose row for 1e10 overflows; the probes 1, 2 and 4 build
+    def huge_build(v: float) -> LoopSet:
+        return _pencil_loop(1e300 * v, 1e-3)
+
+    with pytest.raises(ValueError, match=r"parameter 10000000000\.0: .* must be finite"):
+        root_locus(huge_build, [1.0, 1e10, 2.0, 3.0, 4.0])
 
 
 def test_root_locus_requires_values():

@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doblab.loops import LoopSet
 from doblab.lti import (
@@ -16,6 +18,7 @@ from doblab.lti import (
     classify_roots,
     is_stable,
     poly_roots,
+    stable_rows,
     tf_connect,
     tf_eval,
     tf_eval_grid,
@@ -254,6 +257,31 @@ def test_stability_agrees_with_explicit_root_check():
 
 def test_classify_roots_empty_is_stable():
     assert classify_roots((), None).stability is Stability.STABLE
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.complex_numbers(max_magnitude=1e300), min_size=1, max_size=40))
+def test_hypot_of_parts_is_python_abs(values):
+    # stable_rows takes |r| as hypot of the parts because that is bitwise
+    # Python's abs of a complex, which classify_roots uses (past the float
+    # range abs raises OverflowError where hypot gives inf)
+    z = np.array(values, dtype=complex)
+    want = np.array([abs(v) for v in values])
+    assert np.hypot(z.real, z.imag).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ts", [None, 1e-3])
+def test_stable_rows_equal_classify_roots(ts):
+    rng = np.random.Generator(np.random.PCG64(97))
+    # roots scattered around the boundary band, some rows within ulps of it
+    edge = 1.0 - BOUNDARY_TOL if ts is not None else -BOUNDARY_TOL
+    roots = 0.3 * (rng.normal(size=(500, 4)) + 1j * rng.normal(size=(500, 4)))
+    if ts is None:
+        roots -= 0.5
+    roots[::3, 0] = edge + rng.integers(-8, 9, size=len(roots[::3])) * math.ulp(1.0)
+    want = [classify_roots(tuple(row), ts).is_stable for row in roots.tolist()]
+    assert stable_rows(roots, ts).tolist() == want
+    assert 0 < sum(want[::3]) < len(want[::3]) and 0 < sum(want) < len(want)
 
 
 # ---------------------------------------------------------------------------

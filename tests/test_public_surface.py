@@ -2,7 +2,10 @@
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,8 @@ import doblab
 
 # __main__ runs the CLI on import
 MODULES = [m.name for m in pkgutil.iter_modules(doblab.__path__) if m.name != "__main__"]
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def test_package_exports_resolve():
@@ -38,3 +42,27 @@ def test_benchmark_tracer_hooks_exist():
         if owner is None:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_import_loads_no_other_third_party_package():
+    # every CLI call pays for what `import doblab` loads.  numpy and
+    # scipy.integrate are the dependencies, and what they load on their own
+    # (numpy.f2py, which scipy touches, loads charset_normalizer) is the
+    # baseline; doblab may add only standard-library modules to it
+    code = (
+        "import sys\n"
+        "import numpy, scipy.integrate\n"
+        "before = set(sys.modules)\n"
+        "import doblab, doblab.cli\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(*sorted(new - set(sys.stdlib_module_names) - {'doblab'}))\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.split() == []

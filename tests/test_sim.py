@@ -15,6 +15,7 @@ from doblab.sim import (
     Step,
     Trajectory,
     _plant_step,
+    _viscous_decay,
     aggregate_mismatch,
     inner_loop_disturbance_oracle,
     noise_channel_oracle,
@@ -259,9 +260,12 @@ def _reference_trace(sc, m):
         force = u - load
         rows.append((ref, q, v, u, load, tau_hat))
         for j in range(1, m):
-            qj, vj = _plant_step(q, v, force, plant.jm, plant.viscous, j * (ts / m))
+            dt = j * (ts / m)
+            decay = _viscous_decay(plant.jm, plant.viscous, dt)
+            qj, vj = _plant_step(q, v, force, plant.jm, plant.viscous, dt, decay)
             rows.append((ref, qj, vj, u, load, tau_hat))
-        q, v = _plant_step(q, v, force, plant.jm, plant.viscous, ts)
+        decay = _viscous_decay(plant.jm, plant.viscous, ts)
+        q, v = _plant_step(q, v, force, plant.jm, plant.viscous, ts, decay)
     t = [i * (ts / m) for i in range(len(rows))]
     return [np.array(t)] + [np.array(col) for col in zip(*rows)], diverged_at
 
@@ -455,7 +459,9 @@ def test_substep_rows_equal_the_scalar_plant_step(viscous, g_v, g_dob, m):
         force = float(trace.u[base]) - float(trace.tau_d[base])
         q0, v0 = float(trace.q[base]), float(trace.qdot[base])
         for j in range(1, m):
-            want = _plant_step(q0, v0, force, plant.jm, viscous, j * (ts / m))
+            dt = j * (ts / m)
+            decay = _viscous_decay(plant.jm, viscous, dt)
+            want = _plant_step(q0, v0, force, plant.jm, viscous, dt, decay)
             assert (trace.q[base + j], trace.qdot[base + j]) == want
     assert np.all(np.isnan(trace.q[end:])) and np.all(np.isnan(trace.qdot[end:]))
 
