@@ -20,10 +20,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from .lti import (
-    Polynomial,
     RationalTransferFunction,
     Stability,
+    _roots,
     classify_roots,
+    contour_points,
+    contour_roots,
+    factored_values,
     is_stable,
     poly_roots,
     stable_rows,
@@ -66,7 +69,8 @@ PEAK_XTOL = math.sqrt(math.ulp(1.0))
 # A root this close to the frequency contour is treated as sitting on it.
 CONTOUR_TOL = 1e-7
 
-# Total quadrature error above this raises instead of returning a value.
+# Total quadrature error above this raises instead of returning a value; in s
+# it is relative to max(1, the largest root magnitude of S).
 QUAD_ERROR_CEILING = 1e-4
 
 # A sweep is solved as the pencil chi(v) = a + v*b only if a third build
@@ -103,47 +107,6 @@ def _golden_max(f: Callable[[float], float], a: float, b: float):
     return best_x, best_f
 
 
-def _roots(p: Polynomial) -> tuple[complex, ...]:
-    """Roots of p, none for a constant."""
-    return poly_roots(p) if p.degree >= 1 else ()
-
-
-def _polished_roots(p: Polynomial) -> tuple[complex, ...]:
-    """_roots(p), each moved by one Newton step where that lowers |p|.
-
-    ``eigvals`` is backward stable in the norm of the whole companion
-    matrix, so with widely graded coefficients the small roots carry errors
-    of eps times the largest; one step on the polynomial itself removes
-    them.
-    """
-    slope = Polynomial(tuple(c * k for c, k in zip(p.coeffs, range(p.degree, 0, -1))))
-    out = []
-    for r in _roots(p):
-        res, d = p(r), slope(r)
-        if d != 0.0 and abs(p(r - res / d)) < abs(res):
-            r -= res / d
-        out.append(r)
-    return tuple(out)
-
-
-def _shift_to_one(p: Polynomial) -> Polynomial:
-    """p(1 + u) as a polynomial in u, each coefficient exact before one rounding.
-
-    Sampled integrators cluster roots at z = 1 closer together than
-    ``eigvals`` of the coefficients in z resolves.  As the small roots in
-    u = z - 1 (the delta-operator form, up to the factor ts) they are
-    resolved to their own relative precision.  The shift runs on the
-    coefficients scaled to integers, and integer division rounds correctly.
-    """
-    ratios = [c.as_integer_ratio() for c in p.coeffs]
-    scale = max(d for _, d in ratios)
-    b = [n * (scale // d) for n, d in ratios]
-    for i in range(p.degree):
-        for j in range(1, len(b) - i):
-            b[j] += b[j - 1]
-    return Polynomial(tuple(v / scale for v in b))
-
-
 def _contour_positions(roots, discrete: bool) -> list[tuple[float, float]]:
     """(position along the frequency contour, distance to it) of each root.
 
@@ -175,41 +138,20 @@ def _peak_grid(uniform: np.ndarray, roots, discrete: bool) -> np.ndarray:
     return np.unique(pts[(pts >= 0.0) & (pts <= end)])
 
 
-def _log_mag_grid(lead_log: float, plus_roots, minus_roots, points: np.ndarray):
-    """_factored_log_mag at every point of an array, as one expression."""
-
-    def total(roots) -> np.ndarray:
-        d = points[:, None] - np.array(roots, dtype=complex)
-        return np.log(np.maximum(np.hypot(d.real, d.imag), 1e-300)).sum(axis=1)
-
-    return lead_log + total(plus_roots) - total(minus_roots)
-
-
-def _unit_circle_minus_one(th):
-    """e^(j*th) - 1, accurate near DC, for a float or an array."""
-    if isinstance(th, float):
-        return complex(-2.0 * math.sin(0.5 * th) ** 2, math.sin(th))
-    return -2.0 * np.sin(0.5 * th) ** 2 + 1j * np.sin(th)
-
-
-def _imaginary_axis(w):
-    return 1j * w
-
-
 def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
     """Worst-case magnitude over frequency and where it occurs.
 
     Requires a strictly stable proper system, and never refuses one.  The
-    numerator and the denominator are each solved once.  The poles give the
-    stability verdict, and the magnitude is lead_log + sum ln|p - zero| -
-    sum ln|p - pole|, never the expanded polynomials.  Sampled systems are
-    solved in u = z - 1 and evaluated at e^(j*theta) - 1, so roots clustered
-    at z = 1 keep their distances to the contour.
+    numerator and the denominator are each solved once by lti.contour_roots
+    (in u = z - 1 for sampled systems), and the poles give the stability
+    verdict.  The magnitude comes from those roots, never from the expanded
+    polynomials: lti.factored_values over the grid, and lead_log +
+    sum ln|p - zero| - sum ln|p - pole| (_factored_log_mag) where
+    golden-section search refines the grid's best point.
 
     The grid is PEAK_GRID_POINTS uniform points plus each root's anchors
     (_peak_grid), which resolve resonances narrower than the uniform
-    spacing.  It is evaluated as one array, and golden-section search
-    refines its best point on the scalar form of the same evaluator.
+    spacing.
 
     For sampled systems the uniform points span the angle [0, pi], DC and
     Nyquist included.  Any candidate within PEAK_TIE_RTOL (relative) of the
@@ -225,8 +167,7 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
     if tf.num.degree > tf.den.degree:
         raise ValueError("not a proper rational function")
     discrete = tf.is_discrete
-    num, den = (_shift_to_one(tf.num), _shift_to_one(tf.den)) if discrete else (tf.num, tf.den)
-    poles = _polished_roots(den)
+    poles = contour_roots(tf.den, discrete)
     verdict = classify_roots(tuple(1.0 + u for u in poles) if discrete else poles, tf.ts)
     if verdict.stability is not Stability.STABLE:
         kind = (
@@ -235,26 +176,29 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
             else "marginally stable"
         )
         raise ValueError(f"peak undefined for {kind} system")
-    if num.is_zero:
+    if tf.num.is_zero:
         return (tf.nyquist if discrete else 0.0), 0.0
-    zeros = _polished_roots(num)
-    lead_log = math.log(abs(num.lead / den.lead))
+    zeros = contour_roots(tf.num, discrete)
 
     roots = (*zeros, *poles)
     if discrete:
         uniform = np.linspace(0.0, math.pi, PEAK_GRID_POINTS)
-        roots, point_of = [1.0 + u for u in roots], _unit_circle_minus_one
+        roots = [1.0 + u for u in roots]
     else:
         root_mags = [abs(r) for r in roots if abs(r) > 0.0]
         lo = min(root_mags) / 1e3 if root_mags else 1e-3
         hi = max(root_mags) * 1e3 if root_mags else 1e3
         span = np.logspace(math.log10(lo), math.log10(hi), PEAK_GRID_POINTS)
-        uniform, point_of = np.concatenate([[0.0], span]), _imaginary_axis
+        uniform = np.concatenate([[0.0], span])
     grid = _peak_grid(uniform, roots, discrete)
-    logs = _log_mag_grid(lead_log, zeros, poles, point_of(grid))
+    pts = contour_points(grid, discrete)
+    ratio = factored_values(tf.num.lead, zeros, pts) / factored_values(tf.den.lead, poles, pts)
+    with np.errstate(divide="ignore"):  # a zero on a grid point gives -inf
+        logs = np.log(np.abs(ratio))
     i = int(np.argmax(logs))
+    lead_log = math.log(abs(tf.num.lead / tf.den.lead))
     refined = _golden_max(
-        _factored_log_mag(lead_log, zeros, poles, point_of),
+        _factored_log_mag(lead_log, zeros, poles, lambda x: contour_points(x, discrete)),
         float(grid[max(i - 1, 0)]),
         float(grid[min(i + 1, len(grid) - 1)]),
     )
@@ -436,7 +380,8 @@ def _bode_integral_ct(loop: RationalTransferFunction) -> BodeIntegralReport:
     )
     err += abs(b_fit) / (3.0 * cutoff ** 3) + 17.0 * cutoff / 3.0 * rounding + 1e-10
     value = body + tail
-    if err > QUAD_ERROR_CEILING:
+    # the integral and its rounding grow with the roots, so the ceiling does too
+    if err > QUAD_ERROR_CEILING * scale:
         raise RuntimeError(f"quadrature did not converge: achieved +-{err:.3g}")
 
     rhp = sum(
@@ -637,6 +582,49 @@ def _affine_pencil(
     return a, b, ts
 
 
+def _failed(v: float, exc: ValueError) -> ValueError:
+    return ValueError(f"root locus failed at parameter {v!r}: {exc}")
+
+
+def _closed_loop_roots(
+    build_loop: Callable[[float], LoopSet], pencil, vals: Sequence[float]
+) -> tuple[list, list]:
+    """(roots, stable flags) of chi = S.den at each value.
+
+    With a pencil (a, b, ts) from _affine_pencil each row is a + v*b and
+    nothing is built; without one each value is built, and the rows are
+    grouped by degree and sample time.  Either way stacked_roots solves the
+    rows and stable_rows classifies them: bitwise poly_roots and
+    classify_roots of each row.
+    """
+    if pencil is not None:
+        a, b, ts = pencil
+        with np.errstate(over="ignore", invalid="ignore"):  # rows are checked next
+            rows = a + np.array(vals)[:, None] * b
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            v = vals[int(np.argmin(finite))]
+            raise _failed(v, ValueError("polynomial coefficients must be finite"))
+        r = stacked_roots(rows)
+        return r.tolist(), stable_rows(r, ts).tolist()
+    loops = [build_loop(v) for v in vals]
+    groups: dict[tuple[int, float | None], list[int]] = {}
+    for i, (v, ls) in enumerate(zip(vals, loops)):
+        if ls.S.den.degree < 1:
+            try:
+                poly_roots(ls.S.den)  # raises: there is nothing to solve
+            except ValueError as exc:
+                raise _failed(v, exc) from exc
+        groups.setdefault((ls.S.den.degree, ls.L.ts), []).append(i)
+    roots: list = [None] * len(vals)
+    stable: list = [None] * len(vals)
+    for (_, ts), idx in groups.items():
+        r = stacked_roots(np.array([loops[i].S.den.coeffs for i in idx]))
+        for i, ri, si in zip(idx, r.tolist(), stable_rows(r, ts).tolist()):
+            roots[i], stable[i] = ri, si
+    return roots, stable
+
+
 def root_locus(
     build_loop: Callable[[float], LoopSet],
     values: Sequence[float],
@@ -645,53 +633,22 @@ def root_locus(
 
     build_loop maps the swept value to its LoopSet; the closed-loop roots are
     those of the shared S/T denominator chi, and all of them are solved
-    together by stacked_roots.  When chi is affine in the swept value (every
-    sweep the CLI offers), only the probe values of _affine_pencil are built
-    and the other rows come from a + v*b, so build_loop must be defined over
-    the whole sweep.  Otherwise every value is built.
+    together (_closed_loop_roots).  When chi is affine in the swept value
+    (every sweep the CLI offers), only the probe values of _affine_pencil are
+    built, so build_loop must be defined over the whole sweep.  Otherwise
+    every value is built.
     """
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError("root locus needs at least one parameter value")
 
-    def failed(v: float, exc: ValueError) -> ValueError:
-        return ValueError(f"root locus failed at parameter {v!r}: {exc}")
-
     def build(v: float) -> LoopSet:
         try:
             return build_loop(v)
         except ValueError as exc:
-            raise failed(v, exc) from exc
+            raise _failed(v, exc) from exc
 
-    pencil = _affine_pencil(build, vals)
-    if pencil is None:
-        # every value built; the rows are solved and classified in groups of
-        # one degree and one sample time
-        loops = [build(v) for v in vals]
-        groups: dict[tuple[int, float | None], list[int]] = {}
-        for i, (v, ls) in enumerate(zip(vals, loops)):
-            if ls.S.den.degree < 1:
-                try:
-                    poly_roots(ls.S.den)  # raises: there is nothing to solve
-                except ValueError as exc:
-                    raise failed(v, exc) from exc
-            groups.setdefault((ls.S.den.degree, ls.L.ts), []).append(i)
-        roots: list = [None] * len(vals)
-        stable: list = [None] * len(vals)
-        for (_, ts), idx in groups.items():
-            r = stacked_roots(np.array([loops[i].S.den.coeffs for i in idx]))
-            for i, ri, si in zip(idx, r.tolist(), stable_rows(r, ts).tolist()):
-                roots[i], stable[i] = ri, si
-    else:
-        a, b, ts = pencil
-        with np.errstate(over="ignore", invalid="ignore"):  # rows are checked next
-            rows = a + np.array(vals)[:, None] * b
-        finite = np.isfinite(rows).all(axis=1)
-        if not finite.all():
-            v = vals[int(np.argmin(finite))]
-            raise failed(v, ValueError("polynomial coefficients must be finite"))
-        r = stacked_roots(rows)
-        roots, stable = r.tolist(), stable_rows(r, ts).tolist()
+    roots, stable = _closed_loop_roots(build, _affine_pencil(build, vals), vals)
     return RootLocusTable(
         tuple(
             RootLocusRow(param=v, roots=tuple(ri), stable=si)
@@ -715,20 +672,10 @@ def critical_parameter(
     """
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-
     pencil = _affine_pencil(build_loop, (lo, 0.5 * (lo + hi), hi))
-    if pencil is None:
 
-        def stable_at(v: float) -> bool:
-            loops = build_loop(v)
-            roots = poly_roots(loops.S.den)
-            return classify_roots(roots, loops.L.ts).is_stable
-
-    else:
-        a, b, ts = pencil
-
-        def stable_at(v: float) -> bool:
-            return bool(stable_rows(stacked_roots((a + v * b)[None, :]), ts)[0])
+    def stable_at(v: float) -> bool:
+        return _closed_loop_roots(build_loop, pencil, [v])[1][0]
 
     s_lo = stable_at(lo)
     if s_lo == stable_at(hi):

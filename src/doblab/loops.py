@@ -33,8 +33,11 @@ from .lti import (
     POLE_EVAL_TOL,
     Polynomial,
     RationalTransferFunction,
+    contour_points,
+    contour_roots,
+    factored_values,
     tf_connect,
-    tf_eval_grid,
+    validate_grid,
 )
 from .params import DObParams, OuterGains, per_sample_gain
 
@@ -76,29 +79,26 @@ class LoopSet:
         T = RationalTransferFunction(L.num, chi, ts=L.ts)
         return cls(L, S, T)
 
-    def eval_st(self, point: complex) -> tuple[complex, complex]:
-        """Evaluate S and T jointly from the open loop.
-
-        Both channels divide by the same once-computed value den(p)+num(p),
-        which keeps S + T within a few ulp of 1 even where the summed
-        characteristic polynomial is badly conditioned for Horner evaluation.
-        """
-        d = self.L.den(point)
-        n = self.L.num(point)
-        w = d + n
-        scale = self.S.den.max_abs * max(1.0, abs(point)) ** self.S.den.degree
-        if abs(w) <= POLE_EVAL_TOL * scale:
-            raise ValueError(f"evaluation at pole: point={point!r}")
-        return d / w, n / w
-
     def st_response(self, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(omega, S values, T values) over a validated frequency grid.
 
-        The array counterpart of eval_st: S = d/(d+n) and T = n/(d+n) from
-        one evaluation of the open loop's denominator d and numerator n.
+        The open loop's denominator d and numerator n are each evaluated in
+        factored form (contour_roots, factored_values), and S = d/(d+n),
+        T = n/(d+n), so S + T = 1 holds to a few ulp.  A grid is refused
+        where |d + n| <= POLE_EVAL_TOL*(|d| + |n|), where S itself is
+        undefined at rounding level; the message names the first such omega.
         """
-        om, n, d = tf_eval_grid(self.L, omega, closed_loop=True)
+        L = self.L
+        om = validate_grid(L, omega)
+        discrete = L.is_discrete
+        pts = contour_points(om * L.ts if discrete else om, discrete)
+        d, n = (
+            factored_values(p.lead, contour_roots(p, discrete), pts) for p in (L.den, L.num)
+        )
         w = d + n
+        hit = np.flatnonzero(np.abs(w) <= POLE_EVAL_TOL * (np.abs(d) + np.abs(n)))
+        if hit.size:
+            raise ValueError(f"evaluation at pole: omega={float(om[hit[0]])!r} rad/s")
         return om, d / w, n / w
 
 

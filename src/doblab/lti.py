@@ -2,8 +2,10 @@
 
 Coefficients are stored highest degree first, matching the ordering used by
 ``numpy.roots``.  All types are immutable value types, and no operation
-cancels common factors.  ``tf_eval_grid`` is the one array evaluator of a
-frequency response; ``tf_eval`` is its scalar form.
+cancels common factors.  A frequency response over a grid is evaluated from
+roots: ``contour_roots`` factors a polynomial once, in u = z - 1 for sampled
+systems, and ``factored_values`` gives lead * prod(p - r) at the points of
+``contour_points``.  ``tf_eval`` evaluates by Horner at arbitrary points.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = [
     "poly_roots",
     "stacked_roots",
     "tf_eval",
-    "tf_eval_grid",
     "tf_connect",
     "classify_roots",
     "stable_rows",
@@ -36,7 +37,7 @@ __all__ = [
 # stable in constraint checks.
 BOUNDARY_TOL = 1e-9
 
-# Relative |den(point)| threshold below which evaluation is refused.
+# Relative divisor size at or below which evaluation is refused.
 POLE_EVAL_TOL = 1e-12
 
 
@@ -295,25 +296,62 @@ def validate_grid(tf: RationalTransferFunction, omega) -> np.ndarray:
     return om
 
 
-def tf_eval_grid(
-    tf: RationalTransferFunction, omega, closed_loop: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(omega, num values, den values) of tf over a validated frequency grid.
+def _roots(p: Polynomial) -> tuple[complex, ...]:
+    """Roots of p, none for a constant."""
+    return poly_roots(p) if p.degree >= 1 else ()
 
-    Each polynomial is evaluated by one ``np.polyval`` pass over the whole
-    contour, s = j*omega or z = exp(j*omega*ts).  The divisor is den(p), or,
-    with closed_loop=True, the characteristic value den(p) + num(p) of 1 + tf
-    formed from the two evaluated values.  As in tf_eval, a grid on which
-    |divisor| falls below POLE_EVAL_TOL relative to its polynomial's scale is
-    refused; the message names the first such omega.
+
+def _shift_to_one(p: Polynomial) -> Polynomial:
+    """p(1 + u) as a polynomial in u, each coefficient exact before one rounding.
+
+    Sampled integrators cluster roots at z = 1 closer together than
+    ``eigvals`` of the coefficients in z resolves.  As the small roots in
+    u = z - 1 (the delta-operator form, up to the factor ts) they are
+    resolved to their own relative precision.  The shift runs on the
+    coefficients scaled to integers, and integer division rounds correctly.
     """
-    om = validate_grid(tf, omega)
-    points = 1j * om if tf.ts is None else np.exp(1j * om * tf.ts)
-    num = np.polyval(tf.num.coeffs, points)
-    den = np.polyval(tf.den.coeffs, points)
-    divisor, poly = (den + num, tf.den + tf.num) if closed_loop else (den, tf.den)
-    scale = poly.max_abs * np.maximum(1.0, np.abs(points)) ** poly.degree
-    hit = np.flatnonzero(np.abs(divisor) <= POLE_EVAL_TOL * scale)
-    if hit.size:
-        raise ValueError(f"evaluation at pole: omega={float(om[hit[0]])!r} rad/s")
-    return om, num, den
+    ratios = [c.as_integer_ratio() for c in p.coeffs]
+    scale = max(d for _, d in ratios)
+    b = [n * (scale // d) for n, d in ratios]
+    for i in range(p.degree):
+        for j in range(1, len(b) - i):
+            b[j] += b[j - 1]
+    return Polynomial(tuple(v / scale for v in b))
+
+
+def contour_roots(p: Polynomial, discrete: bool) -> tuple[complex, ...]:
+    """Roots of p in its contour variable: s, or u = z - 1 (_shift_to_one).
+
+    With p.lead they give p as lead * prod(x - r) (factored_values).  Each
+    root moves by one Newton step where that lowers |p|: ``eigvals`` is
+    backward stable in the norm of the whole companion matrix, so with
+    widely graded coefficients the small roots carry errors of eps times the
+    largest, and one step on the polynomial itself removes them.
+    """
+    if discrete:
+        p = _shift_to_one(p)
+    slope = Polynomial(tuple(c * k for c, k in zip(p.coeffs, range(p.degree, 0, -1))))
+    out = []
+    for r in _roots(p):
+        res, d = p(r), slope(r)
+        if d != 0.0 and abs(p(r - res / d)) < abs(res):
+            r -= res / d
+        out.append(r)
+    return tuple(out)
+
+
+def contour_points(x, discrete: bool):
+    """e^(j*x) - 1 at the angle x (accurate near DC) if discrete, else j*x; float or array."""
+    if not discrete:
+        return 1j * x
+    if isinstance(x, float):
+        return complex(-2.0 * math.sin(0.5 * x) ** 2, math.sin(x))
+    return -2.0 * np.sin(0.5 * x) ** 2 + 1j * np.sin(x)
+
+
+def factored_values(lead: float, roots, points: np.ndarray) -> np.ndarray:
+    """lead * prod(p - r) over the roots, at every point of an array."""
+    out = np.full(points.shape, lead, dtype=complex)
+    for r in roots:
+        out *= points - r
+    return out

@@ -255,6 +255,25 @@ def test_bode_integral_against_exact_integral_random(builder):
         _assert_within_quadrature_error(ls)
 
 
+@pytest.mark.parametrize("builder", ["inner-s", "outer-s"])
+def test_bode_integral_against_exact_integral_wide_ranges(builder):
+    # roots of S up to about 1e8 rad/s: the quadrature error and its ceiling
+    # grow with the largest root
+    rng = np.random.Generator(np.random.PCG64(7))
+
+    def log_uniform(lo, hi):
+        return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
+
+    found = 0
+    while found < 50:
+        p = DObParams(log_uniform(0.01, 100.0), log_uniform(0.1, 1e6), g_v=log_uniform(1.0, 1e6))
+        gains = OuterGains(kp=log_uniform(0.1, 1e7), kd=log_uniform(1e-3, 1e4))
+        ls = inner_loop_ct(p) if builder == "inner-s" else outer_loop_ct(p, gains)
+        if is_stable(ls.S).is_stable:
+            found += 1
+            _assert_within_quadrature_error(ls)
+
+
 @pytest.mark.parametrize(
     "ls",
     [

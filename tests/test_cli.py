@@ -114,6 +114,47 @@ def test_freq_rejects_single_point(capsys):
     assert "--points" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # stable loops that evaluating the expanded coefficients refused
+        [
+            "--domain", "z", "--loop", "outer", "--alpha", "0.33521592414979484",
+            "--gdob", "4.3443260997046265", "--ts", "1.256709542827543e-05",
+            "--kp", "94.14280743671218", "--kd", "181.01454885659666",
+        ],
+        [
+            "--domain", "s", "--loop", "outer", "--alpha", "1.3820911511994514",
+            "--gdob", "229.13218428796253", "--gv", "68944.00692958901",
+            "--kp", "88962.48794928381", "--kd", "0.0666246829276257",
+        ],
+    ],
+    ids=["outer-z", "outer-s"],
+)
+def test_freq_answers_stable_loops(capsys, flags):
+    rc, out, err = _run(capsys, ["freq", *flags])
+    assert rc == 0 and err == ""
+    _, rows = _rows(out)
+    assert len(rows) == 512
+    for _, mag_s, phase_s, mag_t, phase_t in (map(float, row) for row in rows):
+        s = mag_s * complex(math.cos(phase_s), math.sin(phase_s))
+        t = mag_t * complex(math.cos(phase_t), math.sin(phase_t))
+        assert abs(s + t - 1.0) <= 1e-12
+
+
+def test_freq_refuses_pole_on_nyquist(capsys):
+    # x = 2 puts the inner loop's closed-loop pole at z = -1
+    rc, out, err = _run(
+        capsys,
+        [
+            "freq", "--domain", "z", "--loop", "inner",
+            "--alpha", "2", "--gdob", "1000", "--ts", "1e-3",
+        ],
+    )
+    assert rc == 1 and out == ""
+    assert "evaluation at pole: omega=" in err
+
+
 # -------------------------------------------------------------- constraints
 
 
@@ -255,6 +296,25 @@ def test_bode_integral_balances_with_finite_gv(capsys, flags):
     assert rc == 0 and err == ""
     values = {k: float(v) for k, v in (line.split(":") for line in out.splitlines())}
     assert abs(values["value"] - values["predicted"]) <= values["quadrature_error"] <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # roots of S beyond 1e5 rad/s: the error budget grows with them
+        ["--loop", "inner", "--alpha", "13.742154707133343", "--gdob", "107989.6200162046",
+         "--gv", "859099.277976888"],
+        ["--loop", "outer", "--alpha", "89.53142053610915", "--gdob", "20.63281623997809",
+         "--gv", "10.805038475471518", "--kp", "0.9698966783293134",
+         "--kd", "8180.245001852888"],
+    ],
+    ids=["inner", "outer"],
+)
+def test_bode_integral_balances_with_large_roots(capsys, flags):
+    rc, out, err = _run(capsys, ["bode-integral", "--domain", "s", *flags])
+    assert rc == 0 and err == ""
+    values = {k: float(v) for k, v in (line.split(":") for line in out.splitlines())}
+    assert abs(values["value"] - values["predicted"]) <= values["quadrature_error"]
 
 
 def test_bode_integral_discrete_balances(capsys):

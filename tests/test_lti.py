@@ -21,7 +21,6 @@ from doblab.lti import (
     stable_rows,
     tf_connect,
     tf_eval,
-    tf_eval_grid,
 )
 
 
@@ -285,30 +284,31 @@ def test_stable_rows_equal_classify_roots(ts):
 
 
 # ---------------------------------------------------------------------------
-# frequency response: tf_eval_grid, the array evaluator
+# frequency response: LoopSet.st_response, the array evaluator
 
 
-def _grid_values(tf, omega):
-    _, num, den = tf_eval_grid(tf, omega)
-    return num / den
+def _inner_loop(x, ts=1e-3):
+    """Sampled inner loop x/(z - 1): its S is s_i(x) and its T is t_i(x)."""
+    L = RationalTransferFunction(Polynomial((x,)), Polynomial((1.0, -1.0)), ts=ts)
+    return LoopSet.from_open_loop(L)
 
 
 def test_freq_response_low_frequency_sensitivity_vanishes():
-    values = _grid_values(s_i(0.5), [1e-6, 1e-3, 1.0])
+    _, values, _ = _inner_loop(0.5).st_response([1e-6, 1e-3, 1.0])
     assert abs(values[0]) < 1e-8
 
 
 def test_freq_response_nyquist_values():
     ts = 1e-3
     nyq = math.pi / ts
-    (v1,) = _grid_values(s_i(1.0, ts), [nyq])
+    _, (v1,), _ = _inner_loop(1.0, ts).st_response([nyq])
     assert abs(v1) == pytest.approx(2.0, rel=1e-12)
-    (v2,) = _grid_values(t_i(0.5, ts), [nyq])
+    _, _, (v2,) = _inner_loop(0.5, ts).st_response([nyq])
     assert abs(v2) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_freq_response_grid_validation():
-    tf = s_i(0.5)
+    ls = _inner_loop(0.5)
     bad = [
         ("increasing", [2.0, 1.0]),
         ("nonnegative", [-1.0, 1.0]),
@@ -319,28 +319,29 @@ def test_freq_response_grid_validation():
     ]
     for why, omega in bad:
         with pytest.raises(ValueError, match=why):
-            tf_eval_grid(tf, omega)
+            ls.st_response(omega)
 
 
 def test_freq_response_pole_on_grid_names_omega():
-    # continuous integrator: pole at s = 0 sits on the omega = 0 grid point
-    tf = RationalTransferFunction(Polynomial((1.0,)), Polynomial((1.0, 0.0)))
-    with pytest.raises(ValueError, match=r"omega=0\.0 rad/s"):
-        tf_eval_grid(tf, [0.0, 1.0])
-    # the closed-loop divisor is checked in its own right: L = -1/(s + 1)
-    # has no pole on the axis, but 1 + L = s/(s + 1) vanishes at s = 0
+    # L = -1/(s + 1) has no pole on the axis, but 1 + L = s/(s + 1)
+    # vanishes at s = 0, so S is undefined on the omega = 0 grid point
     L = RationalTransferFunction(Polynomial((-1.0,)), Polynomial((1.0, 1.0)))
-    tf_eval_grid(L, [0.0, 1.0])
     with pytest.raises(ValueError, match=r"omega=0\.0 rad/s"):
-        tf_eval_grid(L, [0.0, 1.0], closed_loop=True)
+        LoopSet.from_open_loop(L).st_response([0.0, 1.0])
+    # an open-loop pole on the grid is not a closed-loop one: the integrator
+    # 1/s gives S = 0 and T = 1 at omega = 0
+    L = RationalTransferFunction(Polynomial((1.0,)), Polynomial((1.0, 0.0)))
+    _, s_vals, t_vals = LoopSet.from_open_loop(L).st_response([0.0, 1.0])
+    assert s_vals[0] == 0.0 and t_vals[0] == 1.0
 
 
 def test_freq_response_phase_and_magnitude_consistency():
     # the magnitude and phase the freq subcommand prints, point by point,
     # against the scalar evaluator
-    tf = t_i(0.5)
+    ls = _inner_loop(0.5)
     omega = np.linspace(10.0, 3000.0, 64)
-    for w, v in zip(omega, _grid_values(tf, omega)):
-        ref = tf.at_frequency(float(w))
+    _, _, values = ls.st_response(omega)
+    for w, v in zip(omega, values):
+        ref = ls.T.at_frequency(float(w))
         assert abs(v) == pytest.approx(abs(ref), rel=1e-13)
         assert cmath.phase(v) == pytest.approx(cmath.phase(ref), rel=1e-13, abs=1e-15)
