@@ -303,12 +303,11 @@ class BodeIntegralReport:
     quadrature_error: float
 
 
-def _bode_integral_dt(loop: RationalTransferFunction) -> BodeIntegralReport:
-    chi = loop.den + loop.num
-    if chi.is_zero:
-        raise ValueError("degenerate loop: 1 + L vanishes identically")
-    num_roots, den_roots = _roots(loop.den), _roots(chi)
-    lead_log = math.log(abs(loop.den.lead / chi.lead))
+def _bode_integral_dt(
+    loop: RationalTransferFunction, S: RationalTransferFunction
+) -> BodeIntegralReport:
+    num_roots, den_roots = _roots(S.num), _roots(S.den)
+    lead_log = math.log(abs(S.num.lead / S.den.lead))
 
     f = _factored_log_mag(
         lead_log, num_roots, den_roots, lambda th: cmath.exp(1j * th)
@@ -341,17 +340,18 @@ def _bode_integral_dt(loop: RationalTransferFunction) -> BodeIntegralReport:
     return BodeIntegralReport(value, rhp, limit_term, predicted, err)
 
 
-def _bode_integral_ct(loop: RationalTransferFunction) -> BodeIntegralReport:
+def _bode_integral_ct(
+    loop: RationalTransferFunction, S: RationalTransferFunction
+) -> BodeIntegralReport:
     rel_deg = loop.den.degree - loop.num.degree
     if rel_deg < 1:
         raise ValueError(
             "integral diverges: continuous loop must have relative degree >= 1"
         )
-    chi = loop.den + loop.num
-    num_roots, den_roots = _roots(loop.den), _roots(chi)
-    # S is biproper with unit high-frequency gain here (chi shares the
-    # leading coefficient of den when rel_deg >= 1)
-    lead_log = math.log(abs(loop.den.lead / chi.lead))
+    num_roots, den_roots = _roots(S.num), _roots(S.den)
+    # S is biproper with unit high-frequency gain here (its denominator
+    # shares the leading coefficient of L's when rel_deg >= 1)
+    lead_log = math.log(abs(S.num.lead / S.den.lead))
     f = _factored_log_mag(lead_log, num_roots, den_roots, lambda w: 1j * w)
 
     roots = (*num_roots, *den_roots)
@@ -366,19 +366,19 @@ def _bode_integral_ct(loop: RationalTransferFunction) -> BodeIntegralReport:
     ]
     body, err = _integrate_log_mag(f, 0.0, cutoff, cuts)
 
-    # Beyond the cutoff ln|S| ~ A/w^2 + B/w^4 (odd powers are imaginary for
-    # real coefficients); fit the two constants at w and 2w and integrate the
-    # model to infinity.  The fit multiplies the rounding of f, which is a
-    # few ulp of each log term, by up to 17*cutoff/3.
+    # Beyond the cutoff c, ln|S| ~ A/w^2 + B/w^4 (odd powers are imaginary
+    # for real coefficients); fit a = A/c^2 and b = B/c^4 at w = c and 2c and
+    # integrate the model to infinity.  The fit multiplies the rounding of f,
+    # which is a few ulp of each log term, by up to 17*c/3.
     f1 = f(cutoff)
     f2 = f(2.0 * cutoff)
-    a_fit = cutoff * cutoff * (16.0 * f2 - f1) / 3.0
-    b_fit = (f1 - a_fit / (cutoff * cutoff)) * cutoff ** 4
-    tail = a_fit / cutoff + b_fit / (3.0 * cutoff ** 3)
+    a_fit = (16.0 * f2 - f1) / 3.0
+    b_fit = f1 - a_fit
+    tail = cutoff * (a_fit + b_fit / 3.0)
     rounding = 2.0 * math.ulp(1.0) * (
         abs(lead_log) + sum(abs(math.log(abs(2j * cutoff - r))) + 1.0 for r in roots)
     )
-    err += abs(b_fit) / (3.0 * cutoff ** 3) + 17.0 * cutoff / 3.0 * rounding + 1e-10
+    err += cutoff * abs(b_fit) / 3.0 + 17.0 * cutoff / 3.0 * rounding + 1e-10
     value = body + tail
     # the integral and its rounding grow with the roots, so the ceiling does too
     if err > QUAD_ERROR_CEILING * scale:
@@ -405,10 +405,14 @@ def bode_integral(loop: RationalTransferFunction) -> BodeIntegralReport:
     distance to the contour, and each piece is one QUADPACK run.  A root on
     the contour gives an integrable log singularity at the end of a piece,
     which QUADPACK's extrapolation integrates.
+
+    S comes from LoopSet.from_open_loop, so an improper or degenerate loop
+    is refused there in either domain.
     """
+    S = LoopSet.from_open_loop(loop).S
     if loop.is_discrete:
-        return _bode_integral_dt(loop)
-    return _bode_integral_ct(loop)
+        return _bode_integral_dt(loop, S)
+    return _bode_integral_ct(loop, S)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +502,9 @@ def max_bandwidth(alpha: float, ts: float, spec: PeakSpec) -> float:
         raise ValueError("alpha must be positive and finite")
     if not (ts > 0.0 and math.isfinite(ts)):
         raise ValueError("ts must be positive and finite")
-    return min(_peak_bounds(spec)) / (alpha * ts)
+    rate = alpha * ts
+    # a product that underflows to 0 leaves the bound unlimited
+    return min(_peak_bounds(spec)) / rate if rate > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -591,11 +597,11 @@ def _closed_loop_roots(
 ) -> tuple[list, list]:
     """(roots, stable flags) of chi = S.den at each value.
 
-    With a pencil (a, b, ts) from _affine_pencil each row is a + v*b and
-    nothing is built; without one each value is built, and the rows are
-    grouped by degree and sample time.  Either way stacked_roots solves the
-    rows and stable_rows classifies them: bitwise poly_roots and
-    classify_roots of each row.
+    With a pencil (a, b, ts) from _affine_pencil each row is a + v*b,
+    nothing is built, and stacked_roots and stable_rows solve and classify
+    all rows at once: bitwise poly_roots and classify_roots of each row.
+    Without one each value is built and solved in turn by poly_roots and
+    classify_roots.
     """
     if pencil is not None:
         a, b, ts = pencil
@@ -607,21 +613,15 @@ def _closed_loop_roots(
             raise _failed(v, ValueError("polynomial coefficients must be finite"))
         r = stacked_roots(rows)
         return r.tolist(), stable_rows(r, ts).tolist()
-    loops = [build_loop(v) for v in vals]
-    groups: dict[tuple[int, float | None], list[int]] = {}
-    for i, (v, ls) in enumerate(zip(vals, loops)):
-        if ls.S.den.degree < 1:
-            try:
-                poly_roots(ls.S.den)  # raises: there is nothing to solve
-            except ValueError as exc:
-                raise _failed(v, exc) from exc
-        groups.setdefault((ls.S.den.degree, ls.L.ts), []).append(i)
-    roots: list = [None] * len(vals)
-    stable: list = [None] * len(vals)
-    for (_, ts), idx in groups.items():
-        r = stacked_roots(np.array([loops[i].S.den.coeffs for i in idx]))
-        for i, ri, si in zip(idx, r.tolist(), stable_rows(r, ts).tolist()):
-            roots[i], stable[i] = ri, si
+    roots, stable = [], []
+    for v in vals:
+        ls = build_loop(v)
+        try:
+            r = poly_roots(ls.S.den)
+        except ValueError as exc:
+            raise _failed(v, exc) from exc
+        roots.append(r)
+        stable.append(classify_roots(r, ls.L.ts).is_stable)
     return roots, stable
 
 
@@ -632,11 +632,11 @@ def root_locus(
     """Closed-loop roots of 1 + L = 0 for each swept parameter value.
 
     build_loop maps the swept value to its LoopSet; the closed-loop roots are
-    those of the shared S/T denominator chi, and all of them are solved
-    together (_closed_loop_roots).  When chi is affine in the swept value
-    (every sweep the CLI offers), only the probe values of _affine_pencil are
-    built, so build_loop must be defined over the whole sweep.  Otherwise
-    every value is built.
+    those of the shared S/T denominator chi (_closed_loop_roots).  When chi
+    is affine in the swept value (every sweep the CLI offers), only the probe
+    values of _affine_pencil are built and all rows are solved together, so
+    build_loop must be defined over the whole sweep.  Otherwise every value
+    is built and solved in sweep order.
     """
     vals = [float(v) for v in values]
     if not vals:

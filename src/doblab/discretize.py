@@ -6,6 +6,8 @@ import enum
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .lti import Polynomial, RationalTransferFunction
 from .params import OuterGains
 
@@ -64,33 +66,19 @@ def _rule_fraction(rule: DiscretizationRule, ts: float):
     raise ValueError(f"unknown discretization rule {rule!r}")  # pragma: no cover
 
 
-def _frac_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
-def _frac_add(a, b):
-    # coefficients are highest-degree first, so align on the right
-    if len(a) < len(b):
-        a, b = b, a
-    shift = len(a) - len(b)
-    return a[:shift] + tuple(x + y for x, y in zip(a[shift:], b))
-
-
 def _compose(poly: Polynomial, p_pows, q_pows, order: int) -> Polynomial:
-    # sum over terms c_k * p^k * q^(order - k) for coefficient c_k of s^k,
-    # in exact rational arithmetic so the only rounding is the final cast
-    acc = (Fraction(0),)
+    """Sum of c_k * p^k * q^(order - k) over the coefficients c_k of s^k.
+
+    The powers are Fraction object arrays, so np.convolve and np.polyadd
+    on them are exact and each coefficient is rounded once, at the end.
+    """
+    acc = np.array([Fraction(0)], dtype=object)
     deg = poly.degree
     for i, c in enumerate(poly.coeffs):
         k = deg - i
         if c == 0.0:
             continue
-        term = _frac_mul(p_pows[k], q_pows[order - k])
-        acc = _frac_add(acc, tuple(Fraction(c) * t for t in term))
+        acc = np.polyadd(acc, Fraction(c) * np.convolve(p_pows[k], q_pows[order - k]))
     return Polynomial(tuple(float(v) for v in acc))
 
 
@@ -109,13 +97,13 @@ def substitute(
         raise ValueError("substitute expects a continuous-time system")
     if not (ts > 0.0 and math.isfinite(ts)):
         raise ValueError("ts must be positive")
-    p, q = _rule_fraction(rule, ts)
+    p, q = (np.array(f, dtype=object) for f in _rule_fraction(rule, ts))
     order = max(tf_s.num.degree, tf_s.den.degree)
-    p_pows = [(Fraction(1),)]
-    q_pows = [(Fraction(1),)]
+    one = np.array([Fraction(1)], dtype=object)
+    p_pows, q_pows = [one], [one]
     for _ in range(order):
-        p_pows.append(_frac_mul(p_pows[-1], p))
-        q_pows.append(_frac_mul(q_pows[-1], q))
+        p_pows.append(np.convolve(p_pows[-1], p))
+        q_pows.append(np.convolve(q_pows[-1], q))
     num = _compose(tf_s.num, p_pows, q_pows, order)
     den = _compose(tf_s.den, p_pows, q_pows, order)
     if den.is_zero:

@@ -166,9 +166,7 @@ class RationalTransferFunction:
         return math.pi / self.ts
 
     def poles(self) -> tuple[complex, ...]:
-        if self.den.degree < 1:
-            return ()
-        return poly_roots(self.den)
+        return _roots(self.den)
 
     def at_frequency(self, omega: float) -> complex:
         """Evaluate on the frequency contour: s = j*omega or z = exp(j*omega*ts)."""

@@ -141,6 +141,16 @@ def test_discrete_integral_counts_unstable_open_loop_pole():
     assert r.value == pytest.approx(r.predicted, abs=1e-6)
 
 
+def test_discrete_integral_rejects_improper_loop():
+    # the theorem holds only for a causal sampled loop; quadrature of this
+    # one gives 1.28 against a prediction of 0
+    L = RationalTransferFunction(
+        Polynomial((0.3, 0.0, 0.0)), Polynomial((1.0, 0.5)), ts=TS
+    )
+    with pytest.raises(ValueError, match="open loop must be proper"):
+        bode_integral(L)
+
+
 def test_continuous_integral_ideal_velocity():
     for alpha, g in [(1.0, 100.0), (2.0, 500.0)]:
         ls = inner_loop_ct(DObParams(alpha=alpha, g_dob=g))
@@ -789,6 +799,21 @@ def test_root_locus_annotates_failures():
 
     with pytest.raises(ValueError, match=r"parameter 10000000000\.0: .* must be finite"):
         root_locus(huge_build, [1.0, 1e10, 2.0, 3.0, 4.0])
+
+
+def test_root_locus_reports_the_first_failure_in_sweep_order():
+    # off the pencil each value is built and solved before the next is built
+    def build(v: float) -> LoopSet:
+        if v == 2.0:
+            return LoopSet.from_open_loop(
+                RationalTransferFunction(Polynomial((1.0,)), Polynomial((1.0,)))
+            )
+        if v == 4.0:
+            raise ValueError("no loop here")
+        return inner_loop_ct(DObParams(alpha=v * v, g_dob=100.0))
+
+    with pytest.raises(ValueError, match=r"failed at parameter 2\.0: undefined roots"):
+        root_locus(build, [1.0, 2.0, 3.0, 4.0, 5.0])
 
 
 def test_root_locus_requires_values():

@@ -207,6 +207,19 @@ def test_tune_prints_bandwidth(capsys):
     assert out == "1000\n"
 
 
+@pytest.mark.parametrize(
+    "alpha, ts", [("1e-170", "1e-170"), ("1", "5e-324")], ids=["underflow", "overflow"]
+)
+def test_tune_prints_inf_for_an_unlimited_bound(capsys, alpha, ts):
+    # alpha*ts underflows to 0 in the first case; the bound overflows in the second
+    rc, out, err = _run(
+        capsys,
+        ["tune", "--alpha", alpha, "--ts", ts, "--gammaS", "0.5", "--gammaT", "0.5"],
+    )
+    assert rc == 0 and err == ""
+    assert out == "inf\n"
+
+
 @pytest.mark.parametrize("ts", ["inf", "nan"])
 def test_tune_rejects_bad_ts(capsys, ts):
     rc, out, err = _run(
@@ -312,6 +325,20 @@ def test_bode_integral_balances_with_finite_gv(capsys, flags):
 )
 def test_bode_integral_balances_with_large_roots(capsys, flags):
     rc, out, err = _run(capsys, ["bode-integral", "--domain", "s", *flags])
+    assert rc == 0 and err == ""
+    values = {k: float(v) for k, v in (line.split(":") for line in out.splitlines())}
+    assert abs(values["value"] - values["predicted"]) <= values["quadrature_error"]
+
+
+def test_bode_integral_balances_with_huge_gains(capsys):
+    # the cutoff is about 1e303 rad/s, and the tail fit needs no power of it
+    rc, out, err = _run(
+        capsys,
+        [
+            "bode-integral", "--domain", "s", "--loop", "outer",
+            "--alpha", "1", "--gdob", "1", "--kp", "1e300", "--kd", "1e300",
+        ],
+    )
     assert rc == 0 and err == ""
     values = {k: float(v) for k, v in (line.split(":") for line in out.splitlines())}
     assert abs(values["value"] - values["predicted"]) <= values["quadrature_error"]

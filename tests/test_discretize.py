@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 
 from doblab.discretize import (
     DiscretizationRule,
@@ -11,7 +12,7 @@ from doblab.discretize import (
     substitute,
     zoh_double_integrator,
 )
-from doblab.loops import inner_loop_ct, inner_loop_dt
+from doblab.loops import inner_loop_ct, inner_loop_dt, outer_loop_ct
 from doblab.lti import Polynomial, RationalTransferFunction, tf_eval
 from doblab.params import DObParams, OuterGains
 
@@ -176,3 +177,53 @@ def test_tustin_maps_left_half_plane_inside_disk():
         tf_s = RationalTransferFunction(Polynomial((1.0,)), den)
         tf_z = substitute(tf_s, 1e-3, DiscretizationRule.TUSTIN)
         assert all(abs(p) < 1.0 for p in tf_z.poles())
+
+
+def _seeded_ct_loops(count: int, seed: int) -> list[RationalTransferFunction]:
+    """Open loops of inner_loop_ct and outer_loop_ct in turn, g_v finite or inf."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def log_uniform(lo, hi):
+        return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
+
+    out = []
+    for i in range(count):
+        gv = log_uniform(10.0, 1e5) if i % 4 < 2 else math.inf
+        p = DObParams(log_uniform(0.1, 10.0), log_uniform(1.0, 1e4), g_v=gv)
+        if i % 2:
+            gains = OuterGains(kp=log_uniform(1.0, 1e5), kd=log_uniform(0.01, 1e3))
+            out.append(outer_loop_ct(p, gains).L)
+        else:
+            out.append(inner_loop_ct(p).L)
+    return out
+
+
+RULE_MAPS = {
+    # s = p(z)/q(z), written with the sample time t
+    DiscretizationRule.FORWARD_EULER: lambda z, t: (z - 1, t),
+    DiscretizationRule.BACKWARD_EULER: lambda z, t: (z - 1, t * z),
+    DiscretizationRule.TUSTIN: lambda z, t: (2 * (z - 1), t * (z + 1)),
+}
+
+
+def _sympy_cleared(poly: Polynomial, p, q, order: int, z) -> list[float]:
+    """float of each coefficient of sum c_k p^k q^(order - k), expanded exactly."""
+    deg = poly.degree
+    expr = sum(
+        sympy.Rational(c) * p ** (deg - i) * q ** (order - deg + i)
+        for i, c in enumerate(poly.coeffs)
+    )
+    return [float(c) for c in sympy.Poly(sympy.expand(expr), z).all_coeffs()]
+
+
+@pytest.mark.parametrize("rule", list(DiscretizationRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("ts", [1e-3, 1e-4])
+def test_substitute_rounds_each_coefficient_once_against_sympy(rule, ts):
+    # every coefficient is the correctly rounded exact one, bit for bit
+    z = sympy.symbols("z")
+    p, q = RULE_MAPS[rule](z, sympy.Rational(ts))
+    for tf_s in _seeded_ct_loops(30, seed=1729):
+        order = max(tf_s.num.degree, tf_s.den.degree)
+        tf_z = substitute(tf_s, ts, rule)
+        assert list(tf_z.num.coeffs) == _sympy_cleared(tf_s.num, p, q, order, z)
+        assert list(tf_z.den.coeffs) == _sympy_cleared(tf_s.den, p, q, order, z)
