@@ -22,7 +22,6 @@ from scipy.integrate import quad
 from .lti import (
     RationalTransferFunction,
     Stability,
-    _roots,
     classify_roots,
     contour_points,
     contour_roots,
@@ -110,13 +109,13 @@ def _golden_max(f: Callable[[float], float], a: float, b: float):
 def _contour_positions(roots, discrete: bool) -> list[tuple[float, float]]:
     """(position along the frequency contour, distance to it) of each root.
 
-    In z these are the angle in [0, pi] and ||r| - 1|; in s, |Im r| and
-    |Re r|.  A root's log-magnitude term curves on the scale of its
-    distance, so its narrow features lie within a few distances of its
-    position.
+    For a root u of a sampled system these are the angle of z = 1 + u in
+    [0, pi] and ||z| - 1|; in s, |Im r| and |Re r|.  A root's log-magnitude
+    term curves on the scale of its distance, so its narrow features lie
+    within a few distances of its position.
     """
     if discrete:
-        return [(abs(cmath.phase(r)), abs(1.0 - abs(r))) for r in roots]
+        return [(abs(cmath.phase(1.0 + r)), abs(1.0 - abs(1.0 + r))) for r in roots]
     return [(abs(r.imag), abs(r.real)) for r in roots]
 
 
@@ -143,7 +142,7 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
 
     Requires a strictly stable proper system, and never refuses one.  The
     numerator and the denominator are each solved once by lti.contour_roots
-    (in u = z - 1 for sampled systems), and the poles give the stability
+    (in the stored u = z - 1 for sampled systems), and the poles give the stability
     verdict.  The magnitude comes from those roots, never from the expanded
     polynomials: lti.factored_values over the grid, and lead_log +
     sum ln|p - zero| - sum ln|p - pole| (_factored_log_mag) where
@@ -167,7 +166,7 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
     if tf.num.degree > tf.den.degree:
         raise ValueError("not a proper rational function")
     discrete = tf.is_discrete
-    poles = contour_roots(tf.den, discrete)
+    poles = contour_roots(tf.den)
     verdict = classify_roots(tuple(1.0 + u for u in poles) if discrete else poles, tf.ts)
     if verdict.stability is not Stability.STABLE:
         kind = (
@@ -178,12 +177,11 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
         raise ValueError(f"peak undefined for {kind} system")
     if tf.num.is_zero:
         return (tf.nyquist if discrete else 0.0), 0.0
-    zeros = contour_roots(tf.num, discrete)
+    zeros = contour_roots(tf.num)
 
     roots = (*zeros, *poles)
     if discrete:
         uniform = np.linspace(0.0, math.pi, PEAK_GRID_POINTS)
-        roots = [1.0 + u for u in roots]
     else:
         root_mags = [abs(r) for r in roots if abs(r) > 0.0]
         lo = min(root_mags) / 1e3 if root_mags else 1e-3
@@ -304,13 +302,10 @@ class BodeIntegralReport:
 
 
 def _bode_integral_dt(
-    loop: RationalTransferFunction, S: RationalTransferFunction
+    loop: RationalTransferFunction, num_roots, den_roots, lead_log: float
 ) -> BodeIntegralReport:
-    num_roots, den_roots = _roots(S.num), _roots(S.den)
-    lead_log = math.log(abs(S.num.lead / S.den.lead))
-
     f = _factored_log_mag(
-        lead_log, num_roots, den_roots, lambda th: cmath.exp(1j * th)
+        lead_log, num_roots, den_roots, lambda th: contour_points(th, True)
     )
 
     # each root of S cuts the half circle at its angle and at its angle plus
@@ -329,7 +324,7 @@ def _bode_integral_dt(
         raise RuntimeError(f"quadrature did not converge: achieved +-{err:.3g}")
 
     rhp = sum(
-        math.log(abs(r)) for r in num_roots if abs(r) > 1.0 + CONTOUR_TOL
+        math.log(abs(1.0 + r)) for r in num_roots if abs(1.0 + r) > 1.0 + CONTOUR_TOL
     )
     l_inf = loop.num.lead / loop.den.lead if loop.num.degree == loop.den.degree else 0.0
     mag = abs(1.0 + l_inf)
@@ -341,17 +336,15 @@ def _bode_integral_dt(
 
 
 def _bode_integral_ct(
-    loop: RationalTransferFunction, S: RationalTransferFunction
+    loop: RationalTransferFunction, num_roots, den_roots, lead_log: float
 ) -> BodeIntegralReport:
     rel_deg = loop.den.degree - loop.num.degree
     if rel_deg < 1:
         raise ValueError(
             "integral diverges: continuous loop must have relative degree >= 1"
         )
-    num_roots, den_roots = _roots(S.num), _roots(S.den)
     # S is biproper with unit high-frequency gain here (its denominator
     # shares the leading coefficient of L's when rel_deg >= 1)
-    lead_log = math.log(abs(S.num.lead / S.den.lead))
     f = _factored_log_mag(lead_log, num_roots, den_roots, lambda w: 1j * w)
 
     roots = (*num_roots, *den_roots)
@@ -407,12 +400,13 @@ def bode_integral(loop: RationalTransferFunction) -> BodeIntegralReport:
     which QUADPACK's extrapolation integrates.
 
     S comes from LoopSet.from_open_loop, so an improper or degenerate loop
-    is refused there in either domain.
+    is refused there in either domain, and its roots from lti.contour_roots
+    (in u = z - 1 if sampled), the solve that the peak search also uses.
     """
     S = LoopSet.from_open_loop(loop).S
-    if loop.is_discrete:
-        return _bode_integral_dt(loop, S)
-    return _bode_integral_ct(loop, S)
+    lead_log = math.log(abs(S.num.lead / S.den.lead))
+    args = (loop, contour_roots(S.num), contour_roots(S.den), lead_log)
+    return _bode_integral_dt(*args) if loop.is_discrete else _bode_integral_ct(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +595,8 @@ def _closed_loop_roots(
     nothing is built, and stacked_roots and stable_rows solve and classify
     all rows at once: bitwise poly_roots and classify_roots of each row.
     Without one each value is built and solved in turn by poly_roots and
-    classify_roots.
+    classify_roots.  A sampled chi is solved in u, and its roots are
+    reported and classified as z = 1 + u.
     """
     if pencil is not None:
         a, b, ts = pencil
@@ -612,6 +607,8 @@ def _closed_loop_roots(
             v = vals[int(np.argmin(finite))]
             raise _failed(v, ValueError("polynomial coefficients must be finite"))
         r = stacked_roots(rows)
+        if ts is not None:
+            r = r + 1.0
         return r.tolist(), stable_rows(r, ts).tolist()
     roots, stable = [], []
     for v in vals:
@@ -620,8 +617,8 @@ def _closed_loop_roots(
             r = poly_roots(ls.S.den)
         except ValueError as exc:
             raise _failed(v, exc) from exc
-        roots.append(r)
-        stable.append(classify_roots(r, ls.L.ts).is_stable)
+        roots.append(r if ls.L.ts is None else tuple(1.0 + u for u in r))
+        stable.append(classify_roots(roots[-1], ls.L.ts).is_stable)
     return roots, stable
 
 

@@ -1,4 +1,4 @@
-"""Continuous-to-discrete maps: exact ZoH plant, PD difference law, s->z rules."""
+"""Continuous-to-discrete maps in u = z - 1: exact ZoH plant, PD law, s->z rules."""
 
 from __future__ import annotations
 
@@ -22,19 +22,24 @@ __all__ = [
 def zoh_double_integrator(gain: float, ts: float) -> RationalTransferFunction:
     """Exact zero-order-hold discretization of gain/s^2.
 
-    gain * (ts^2/2) * (z + 1) / (z - 1)^2; this is the step-invariant map of
-    the double integrator, not an approximation.
+    gain * (ts^2/2) * (z + 1) / (z - 1)^2, stored as h*(u + 2)/u^2 with
+    h = gain*ts^2/2; this is the step-invariant map of the double
+    integrator, not an approximation.  Its sampling zero sits exactly at
+    u = -2, the Nyquist point.
     """
     if not (ts > 0.0 and math.isfinite(ts)):
         raise ValueError("ts must be positive")
     half = 0.5 * gain * ts * ts
     return RationalTransferFunction(
-        Polynomial((half, half)), Polynomial((1.0, -2.0, 1.0)), ts=ts
+        Polynomial((half, 2.0 * half)), Polynomial((1.0, 0.0, 0.0)), ts=ts
     )
 
 
 def backward_euler_pd(gains: OuterGains, ts: float) -> RationalTransferFunction:
-    """PD law with a backward-Euler derivative: kp + kd*(z-1)/(ts*z)."""
+    """PD law with a backward-Euler derivative: kp + kd*(z-1)/(ts*z).
+
+    Stored as ((kp + kd/ts)*u + kp)/(u + 1).
+    """
     if not (ts > 0.0 and math.isfinite(ts)):
         raise ValueError("ts must be positive")
     if gains.kd == 0.0:
@@ -42,9 +47,8 @@ def backward_euler_pd(gains: OuterGains, ts: float) -> RationalTransferFunction:
         return RationalTransferFunction(
             Polynomial((gains.kp,)), Polynomial((1.0,)), ts=ts
         )
-    kd_ts = gains.kd / ts
     return RationalTransferFunction(
-        Polynomial((gains.kp + kd_ts, -kd_ts)), Polynomial((1.0, 0.0)), ts=ts
+        Polynomial((gains.kp + gains.kd / ts, gains.kp)), Polynomial((1.0, 1.0)), ts=ts
     )
 
 
@@ -55,14 +59,14 @@ class DiscretizationRule(enum.Enum):
 
 
 def _rule_fraction(rule: DiscretizationRule, ts: float):
-    # s is replaced by p(z)/q(z); kept as exact rationals for the clearing
+    # s is replaced by p(u)/q(u); kept as exact rationals for the clearing
     t = Fraction(ts)
     if rule is DiscretizationRule.FORWARD_EULER:
-        return (Fraction(1), Fraction(-1)), (t,)
+        return (Fraction(1), Fraction(0)), (t,)
     if rule is DiscretizationRule.BACKWARD_EULER:
-        return (Fraction(1), Fraction(-1)), (t, Fraction(0))
+        return (Fraction(1), Fraction(0)), (t, t)
     if rule is DiscretizationRule.TUSTIN:
-        return (Fraction(2), Fraction(-2)), (t, t)
+        return (Fraction(2), Fraction(0)), (t, 2 * t)
     raise ValueError(f"unknown discretization rule {rule!r}")  # pragma: no cover
 
 
@@ -85,13 +89,15 @@ def _compose(poly: Polynomial, p_pows, q_pows, order: int) -> Polynomial:
 def substitute(
     tf_s: RationalTransferFunction, ts: float, rule: DiscretizationRule
 ) -> RationalTransferFunction:
-    """Replace s by the rule's rational map of z and clear fractions.
+    """Replace s by the rule's rational map of u = z - 1 and clear fractions.
 
-    Both polynomials are multiplied through by the least common denominator
-    q(z)^N with N = max(deg num, deg den).  The clearing runs in exact
-    rational arithmetic and each output coefficient is rounded exactly once;
-    nothing is normalized to monic, so identities like forward-Euler of
-    a*g/s -> (a*g*ts)/(z-1) hold at coefficient level.
+    The maps are forward Euler s = u/ts, backward Euler s = u/(ts*(1 + u))
+    and Tustin s = 2u/(ts*(u + 2)).  Both polynomials are multiplied through
+    by the least common denominator q(u)^N with N = max(deg num, deg den).
+    The clearing runs in exact rational arithmetic and each output
+    coefficient is rounded exactly once; nothing is normalized to monic, so
+    identities like forward-Euler of a*g/s -> (a*g*ts)/u hold at
+    coefficient level.
     """
     if tf_s.ts is not None:
         raise ValueError("substitute expects a continuous-time system")

@@ -7,14 +7,16 @@ its continuous open loop is
     L_i(s) = alpha*g_v*g_dob / (s*(s + g_v)),
 
 collapsing to alpha*g_dob/s for ideal velocity measurement.  Sampling turns
-the estimator into a forward-difference integrator loop,
+the estimator into a forward-difference integrator loop, stored like every
+sampled system in u = z - 1,
 
-    L_i(z) = alpha*g_dob*ts / (z - 1),
+    L_i = alpha*g_dob*ts / (z - 1) = x / u,   x = alpha*g_dob*ts,
 
-whose single closed-loop pole sits at 1 - alpha*g_dob*ts.  The outer loop
+whose single closed-loop pole sits at u = -x, z = 1 - x.  The outer loop
 wraps a PD position controller around the inner loop; in the sampled domain
-the loop factors into C(z) * C_i(z) * G_p(z) where C_i is the inner-loop
-reference-channel compensator and G_p the ZoH double integrator.  The finite
+the loop factors into C * C_i * G_p where C is the backward-Euler PD,
+C_i the inner-loop reference-channel compensator and G_p the ZoH double
+integrator, each a short closed form in u.  The finite
 g_v continuous outer loop decomposes as the inner loop in parallel with
 alpha*(s+g_v)*(s+g_dob)*(kd*s+kp) / (s^3*(s+g_v)); re-summing the two gives
 back the single printed rational form built here.
@@ -84,22 +86,30 @@ class LoopSet:
 
         The open loop's denominator d and numerator n are each evaluated in
         factored form (contour_roots, factored_values), and S = d/(d+n),
-        T = n/(d+n), so S + T = 1 holds to a few ulp.  A grid is refused
-        where |d + n| <= POLE_EVAL_TOL*(|d| + |n|), where S itself is
-        undefined at rounding level; the message names the first such omega.
+        T = n/(d+n), so S + T = 1 holds to a few ulp; an exactly zero d or n
+        gives +0, of phase 0.  A sampled grid runs at the angles
+        (omega/nyquist)*pi, so Nyquist is u = -2 exactly, and where n vanishes
+        there to rounding (backward error below eps: the ZoH zero, which float
+        block products move by a few ulp) its root nearest -2 is put there.
+        A grid is refused where |d + n| <= POLE_EVAL_TOL*(|d| + |n|), where S
+        is undefined at rounding level; the message names the first such omega.
         """
         L = self.L
         om = validate_grid(L, omega)
         discrete = L.is_discrete
-        pts = contour_points(om * L.ts if discrete else om, discrete)
-        d, n = (
-            factored_values(p.lead, contour_roots(p, discrete), pts) for p in (L.den, L.num)
-        )
+        pts = contour_points(om / L.nyquist * math.pi if discrete else om, discrete)
+        zeros = contour_roots(L.num)
+        scale = np.polyval(np.abs(L.num.coeffs), 2.0)
+        if discrete and zeros and abs(L.num(-2.0)) <= math.ulp(1.0) * scale:
+            near = min(zeros, key=lambda r: abs(r + 2.0))
+            zeros = [-2.0 if r is near else r for r in zeros]
+        d = factored_values(L.den.lead, contour_roots(L.den), pts)
+        n = factored_values(L.num.lead, zeros, pts)
         w = d + n
         hit = np.flatnonzero(np.abs(w) <= POLE_EVAL_TOL * (np.abs(d) + np.abs(n)))
         if hit.size:
             raise ValueError(f"evaluation at pole: omega={float(om[hit[0]])!r} rad/s")
-        return om, d / w, n / w
+        return om, *(np.where(v == 0.0, 0.0, v / w) for v in (d, n))
 
 
 def inner_loop_ct(p: DObParams) -> LoopSet:
@@ -117,11 +127,9 @@ def inner_loop_ct(p: DObParams) -> LoopSet:
 
 
 def inner_loop_dt(p: DObParams) -> LoopSet:
-    """Sampled inner estimation loop, alpha*g_dob*ts/(z-1)."""
+    """Sampled inner estimation loop, alpha*g_dob*ts/(z-1) = x/u."""
     x = per_sample_gain(p)
-    L = RationalTransferFunction(
-        Polynomial((x,)), Polynomial((1.0, -1.0)), ts=p.ts
-    )
+    L = RationalTransferFunction(Polynomial((x,)), Polynomial((1.0, 0.0)), ts=p.ts)
     return LoopSet.from_open_loop(L)
 
 
@@ -157,18 +165,19 @@ class CiCompensator:
 def ci_compensator_dt(p: DObParams) -> CiCompensator:
     """Inner-loop reference-channel compensator.
 
-    C_i(z) = alpha*((1 + g_dob*ts)*z - 1) / (z - (1 - alpha*g_dob*ts)).
-    Its zero leads the pole exactly when alpha exceeds 1/(1 + g_dob*ts); at
-    the threshold the pair cancels and the block is a pure gain.
+    C_i(z) = alpha*((1 + g_dob*ts)*z - 1) / (z - (1 - alpha*g_dob*ts)),
+    stored as alpha*((1 + g_dob*ts)*u + g_dob*ts) / (u + x).  Its zero
+    leads the pole exactly when alpha exceeds 1/(1 + g_dob*ts); at the
+    threshold the pair cancels and the block is a pure gain.
     """
     ts = p.require_ts()
-    x = per_sample_gain(p)
+    g_ts = p.g_dob * ts
     tf = RationalTransferFunction(
-        Polynomial((p.alpha * (1.0 + p.g_dob * ts), -p.alpha)),
-        Polynomial((1.0, -(1.0 - x))),
+        Polynomial((p.alpha * (1.0 + g_ts), p.alpha * g_ts)),
+        Polynomial((1.0, per_sample_gain(p))),
         ts=ts,
     )
-    threshold = 1.0 / (1.0 + p.g_dob * ts)
+    threshold = 1.0 / (1.0 + g_ts)
     if abs(p.alpha - threshold) <= NEUTRAL_TOL:
         character = PhaseCharacter.NEUTRAL
     elif p.alpha > threshold:
@@ -179,7 +188,11 @@ def ci_compensator_dt(p: DObParams) -> CiCompensator:
 
 
 def outer_loop_dt(p: DObParams, gains: OuterGains) -> LoopSet:
-    """Sampled position loop: PD * inner compensator * ZoH double integrator."""
+    """Sampled position loop: PD * inner compensator * ZoH double integrator.
+
+    tf_connect multiplies the blocks in u, so L's double pole at z = 1 is
+    stored exactly, as u^2.
+    """
     ts = p.require_ts()
     c = backward_euler_pd(gains, ts)
     ci = ci_compensator_dt(p).tf

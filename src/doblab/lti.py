@@ -2,15 +2,17 @@
 
 Coefficients are stored highest degree first, matching the ordering used by
 ``numpy.roots``.  All types are immutable value types, and no operation
-cancels common factors.  A frequency response over a grid is evaluated from
-roots: ``contour_roots`` factors a polynomial once, in u = z - 1 for sampled
-systems, and ``factored_values`` gives lead * prod(p - r) at the points of
+cancels common factors.  A sampled system stores its coefficients in
+u = z - 1 (the delta form), where the roots that sampled integrators cluster
+at z = 1 are small roots, resolved to their own precision; ``poles`` and
+``tf_eval`` still speak z.  A frequency response over a grid is evaluated
+from roots: ``contour_roots`` factors a polynomial once, in its stored
+variable, and ``factored_values`` gives lead * prod(p - r) at the points of
 ``contour_points``.  ``tf_eval`` evaluates by Horner at arbitrary points.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -41,13 +43,6 @@ BOUNDARY_TOL = 1e-9
 POLE_EVAL_TOL = 1e-12
 
 
-def _horner(coeffs: tuple[float, ...], x: complex) -> complex:
-    acc = 0j
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """Real polynomial with coefficients ordered highest degree first."""
@@ -58,9 +53,8 @@ class Polynomial:
         c = tuple(float(v) for v in self.coeffs)
         if not c:
             c = (0.0,)
-        for v in c:
-            if not math.isfinite(v):
-                raise ValueError("polynomial coefficients must be finite")
+        if not all(map(math.isfinite, c)):
+            raise ValueError("polynomial coefficients must be finite")
         # Strip exact leading zeros only; near-zero leading coefficients are
         # a numerical fact of the data and are never dropped implicitly.
         k = 0
@@ -85,19 +79,16 @@ class Polynomial:
         return max(abs(c) for c in self.coeffs)
 
     def __call__(self, x: complex) -> complex:
-        return _horner(self.coeffs, x)
+        acc = 0j
+        for c in self.coeffs:
+            acc = acc * x + c
+        return acc
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        a = (0.0,) * (n - len(a)) + a
-        b = (0.0,) * (n - len(b)) + b
-        return Polynomial(tuple(x + y for x, y in zip(a, b)))
+        return Polynomial(tuple(np.polyadd(self.coeffs, other.coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial((0.0,))
             return Polynomial(tuple(np.convolve(self.coeffs, other.coeffs)))
         return self.scale(float(other))
 
@@ -143,7 +134,7 @@ def stacked_roots(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RationalTransferFunction:
-    """Ratio of two real polynomials in s (ts=None) or z (ts>0)."""
+    """Ratio of two real polynomials in s (ts=None) or u = z - 1 (ts>0)."""
 
     num: Polynomial
     den: Polynomial
@@ -166,27 +157,36 @@ class RationalTransferFunction:
         return math.pi / self.ts
 
     def poles(self) -> tuple[complex, ...]:
-        return _roots(self.den)
+        """Roots of the denominator: s, or z = 1 + u for a sampled system."""
+        roots = _roots(self.den)
+        return roots if self.ts is None else tuple(1.0 + u for u in roots)
 
     def at_frequency(self, omega: float) -> complex:
         """Evaluate on the frequency contour: s = j*omega or z = exp(j*omega*ts)."""
-        return tf_eval(self, self.contour_point(omega))
+        return _ratio_at(self, self.contour_point(omega))
 
     def contour_point(self, omega: float) -> complex:
+        """The stored variable at omega: s = j*omega, or u = exp(j*omega*ts) - 1."""
         if self.ts is None:
             return 1j * omega
-        return cmath.exp(1j * omega * self.ts)
+        return contour_points(omega / self.nyquist * math.pi, True)
 
     def __call__(self, point: complex) -> complex:
         return tf_eval(self, point)
 
 
 def tf_eval(tf: RationalTransferFunction, point: complex) -> complex:
-    """Evaluate num(point)/den(point) by Horner's method.
+    """Evaluate tf at s, or at z for a sampled system, by Horner's method.
 
+    A sampled system is evaluated at its stored variable u = point - 1.
     Refuses points where |den| falls below a relative threshold: evaluating
     essentially on top of a pole would return noise, not data.
     """
+    return _ratio_at(tf, point - 1.0 if tf.is_discrete else point)
+
+
+def _ratio_at(tf: RationalTransferFunction, point: complex) -> complex:
+    """num(point)/den(point) at a point of the stored variable (tf_eval)."""
     d = tf.den(point)
     scale = tf.den.max_abs * max(1.0, abs(point)) ** tf.den.degree
     if abs(d) <= POLE_EVAL_TOL * scale:
@@ -197,7 +197,7 @@ def tf_eval(tf: RationalTransferFunction, point: complex) -> complex:
 def tf_connect(
     a: RationalTransferFunction, b: RationalTransferFunction
 ) -> RationalTransferFunction:
-    """Series connection a*b by exact polynomial arithmetic, no cancellation."""
+    """Series connection a*b by float polynomial products, no cancellation."""
     if a.ts != b.ts:
         raise ValueError(
             f"domain mismatch: cannot combine ts={a.ts!r} with ts={b.ts!r}"
@@ -299,26 +299,8 @@ def _roots(p: Polynomial) -> tuple[complex, ...]:
     return poly_roots(p) if p.degree >= 1 else ()
 
 
-def _shift_to_one(p: Polynomial) -> Polynomial:
-    """p(1 + u) as a polynomial in u, each coefficient exact before one rounding.
-
-    Sampled integrators cluster roots at z = 1 closer together than
-    ``eigvals`` of the coefficients in z resolves.  As the small roots in
-    u = z - 1 (the delta-operator form, up to the factor ts) they are
-    resolved to their own relative precision.  The shift runs on the
-    coefficients scaled to integers, and integer division rounds correctly.
-    """
-    ratios = [c.as_integer_ratio() for c in p.coeffs]
-    scale = max(d for _, d in ratios)
-    b = [n * (scale // d) for n, d in ratios]
-    for i in range(p.degree):
-        for j in range(1, len(b) - i):
-            b[j] += b[j - 1]
-    return Polynomial(tuple(v / scale for v in b))
-
-
-def contour_roots(p: Polynomial, discrete: bool) -> tuple[complex, ...]:
-    """Roots of p in its contour variable: s, or u = z - 1 (_shift_to_one).
+def contour_roots(p: Polynomial) -> tuple[complex, ...]:
+    """Roots of p in its stored variable: s, or u = z - 1.
 
     With p.lead they give p as lead * prod(x - r) (factored_values).  Each
     root moves by one Newton step where that lowers |p|: ``eigvals`` is
@@ -326,8 +308,6 @@ def contour_roots(p: Polynomial, discrete: bool) -> tuple[complex, ...]:
     widely graded coefficients the small roots carry errors of eps times the
     largest, and one step on the polynomial itself removes them.
     """
-    if discrete:
-        p = _shift_to_one(p)
     slope = Polynomial(tuple(c * k for c, k in zip(p.coeffs, range(p.degree, 0, -1))))
     out = []
     for r in _roots(p):
@@ -339,12 +319,16 @@ def contour_roots(p: Polynomial, discrete: bool) -> tuple[complex, ...]:
 
 
 def contour_points(x, discrete: bool):
-    """e^(j*x) - 1 at the angle x (accurate near DC) if discrete, else j*x; float or array."""
+    """u = e^(j*x) - 1 at the angle x if discrete, else j*x; float or array.
+
+    The real part -2 sin^2(x/2) keeps u accurate near DC, and past pi/2 the
+    imaginary part is sin(pi - x), so the angle pi gives u = -2 exactly.
+    """
     if not discrete:
         return 1j * x
     if isinstance(x, float):
-        return complex(-2.0 * math.sin(0.5 * x) ** 2, math.sin(x))
-    return -2.0 * np.sin(0.5 * x) ** 2 + 1j * np.sin(x)
+        return complex(-2.0 * math.sin(0.5 * x) ** 2, math.sin(min(x, math.pi - x)))
+    return -2.0 * np.sin(0.5 * x) ** 2 + 1j * np.sin(np.minimum(x, math.pi - x))
 
 
 def factored_values(lead: float, roots, points: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from doblab.lti import (
     Polynomial,
     RationalTransferFunction,
     classify_roots,
+    contour_roots,
     is_stable,
     poly_roots,
 )
@@ -130,10 +131,11 @@ def test_discrete_integral_vanishes_for_stable_loop(x):
 
 
 def test_discrete_integral_counts_unstable_open_loop_pole():
-    # L = 1.5/(z - 1.5): open-loop pole outside the circle, closed loop
-    # stable; quadrature must reproduce the 2*pi*ln of the pole radius
+    # L = 1.5/(z - 1.5) = 1.5/(u - 0.5): open-loop pole outside the circle,
+    # closed loop stable; quadrature must reproduce the 2*pi*ln of the pole
+    # radius
     L = RationalTransferFunction(
-        Polynomial((1.5,)), Polynomial((1.0, -1.5)), ts=TS
+        Polynomial((1.5,)), Polynomial((1.0, -0.5)), ts=TS
     )
     r = bode_integral(L)
     assert r.rhp_pole_sum == pytest.approx(math.log(1.5), rel=1e-12)
@@ -142,10 +144,11 @@ def test_discrete_integral_counts_unstable_open_loop_pole():
 
 
 def test_discrete_integral_rejects_improper_loop():
-    # the theorem holds only for a causal sampled loop; quadrature of this
-    # one gives 1.28 against a prediction of 0
+    # the theorem holds only for a causal sampled loop; quadrature of
+    # L = 0.3 z^2/(z + 0.5), written in u = z - 1, gives 1.28 against a
+    # prediction of 0
     L = RationalTransferFunction(
-        Polynomial((0.3, 0.0, 0.0)), Polynomial((1.0, 0.5)), ts=TS
+        Polynomial((0.3, 0.6, 0.3)), Polynomial((1.0, 1.5)), ts=TS
     )
     with pytest.raises(ValueError, match="open loop must be proper"):
         bode_integral(L)
@@ -207,13 +210,15 @@ def _exact_integral(L: RationalTransferFunction) -> float:
     """Exact integral of the factored ln|S| over the computed roots of S.
 
     In z, Jensen's formula gives the mean of ln|e^jt - r| over the circle as
-    ln max(1, |r|).  In s, ln|(jw - r)/(jw - q)| integrates over the whole
-    axis to pi*(|Re r| - |Re q|), and the roots come in conjugate pairs.
+    ln max(1, |r|); the roots are raw poly_roots of the stored coefficients
+    in u = z - 1, plus 1.  In s, ln|(jw - r)/(jw - q)| integrates over the
+    whole axis to pi*(|Re r| - |Re q|), and the roots come in conjugate pairs.
     """
     chi = L.den + L.num
     zeros = poly_roots(L.den) if L.den.degree >= 1 else ()
     poles = poly_roots(chi) if chi.degree >= 1 else ()
     if L.is_discrete:
+        zeros, poles = ([1.0 + r for r in rs] for rs in (zeros, poles))
         lead_log = math.log(abs(L.den.lead / chi.lead))
         return 2.0 * math.pi * (
             lead_log
@@ -307,10 +312,10 @@ def test_bode_integral_against_exact_integral_hard_cases(ls):
 
 
 def _mp_magnitude(tf: RationalTransferFunction, omega: float):
-    """50-digit |tf| at omega, from the stored coefficients."""
+    """50-digit |tf| at omega, from the stored coefficients (in u = z - 1 if sampled)."""
     with mpmath.workdps(50):
         w = mpmath.mpf(omega)
-        p = mpmath.mpc(0, w) if tf.ts is None else mpmath.expj(w * mpmath.mpf(tf.ts))
+        p = mpmath.mpc(0, w) if tf.ts is None else mpmath.expj(w * mpmath.mpf(tf.ts)) - 1
         num = mpmath.polyval([mpmath.mpf(c) for c in tf.num.coeffs], p)
         return abs(num / mpmath.polyval([mpmath.mpf(c) for c in tf.den.coeffs], p))
 
@@ -333,7 +338,8 @@ def _dense_factored_max(tf: RationalTransferFunction) -> float:
     """Largest |tf| on a dense root-agnostic grid, factored over 30-digit roots.
 
     In z the grid is uniform and geometric in the angle, and each factor is
-    (e^jt - 1) - (r - 1), so roots clustered at z = 1 keep their distances.
+    (e^jt - 1) - r for a root r of the stored coefficients in u = z - 1, so
+    roots clustered at z = 1 keep their distances.
     In s it is DC plus a geometric grid from 1e-4 of the smallest root
     magnitude to 1e4 times the largest.
     """
@@ -349,8 +355,7 @@ def _dense_factored_max(tf: RationalTransferFunction) -> float:
             rs = mpmath.polyroots(
                 [mpmath.mpf(c) for c in p.coeffs], maxsteps=100, extraprec=100, roots_init=start
             )
-            shift = 0 if tf.ts is None else 1
-            return np.array([complex(r - shift) for r in rs])
+            return np.array([complex(r) for r in rs])
 
         zeros, poles = roots(tf.num), roots(tf.den)
     lead_log = math.log(abs(tf.num.lead / tf.den.lead))
@@ -399,8 +404,8 @@ def test_sensitivity_peak_narrow_low_frequency_resonance():
     assert abs(peak / _mp_magnitude(ls.S, w_coeffs) - 1) <= 1e-9
     assert abs(omega / w_coeffs - 1) <= 1e-6
 
-    # the loop's factored blocks; expanding them into S's coefficients moves
-    # the peak by 6.5e-7 in value and 6.7e-7 in frequency
+    # the loop's factored blocks, which S's coefficients in u = z - 1 match
+    # to rounding
     with mpmath.workdps(50):
         a, g, ts, kp, kd = (mpmath.mpf(v) for v in (p.alpha, p.g_dob, p.ts, gains.kp, gains.kd))
 
@@ -414,6 +419,67 @@ def test_sensitivity_peak_narrow_low_frequency_resonance():
         w_blocks = _mp_golden_max(s_blocks, 1.0, 3.0)
         assert abs(peak / s_blocks(w_blocks) - 1) <= 1e-6
     assert abs(omega / w_blocks - 1) <= 1e-6
+
+
+def _mp_blocks_s(p: DObParams, gains: OuterGains):
+    """30-digit |S| of outer_loop_dt at omega, from the printed factored z blocks."""
+
+    def s_mag(w):
+        with mpmath.workdps(30):
+            a, g, ts, kp, kd = (mpmath.mpf(v) for v in (p.alpha, p.g_dob, p.ts, gains.kp, gains.kd))
+            z = mpmath.expj(mpmath.mpf(w) * ts)
+            pd = ((kp + kd / ts) * z - kd / ts) / z
+            ci = a * ((1 + g * ts) * z - 1) / (z - 1 + a * g * ts)
+            plant = ts * ts / 2 * (z + 1) / (z - 1) ** 2
+            return abs(1 / (1 + pd * ci * plant))
+
+    return s_mag
+
+
+def test_outer_dt_peak_against_factored_blocks():
+    # stable outer loops, log-uniform over alpha 0.05..5, g_dob 10..1e4,
+    # ts 1e-5..1e-2, kp 1..1e5 and kd 0.1..1e3.  Products of the blocks in z
+    # split L's double pole at z = 1 and moved these peaks by up to 1.5e-6;
+    # in u the worst is 3.8e-15
+    rng = np.random.Generator(np.random.PCG64(11))
+
+    def log_uniform(lo, hi):
+        return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
+
+    found = 0
+    while found < 40:
+        p = DObParams(log_uniform(0.05, 5.0), log_uniform(10.0, 1e4), ts=log_uniform(1e-5, 1e-2))
+        gains = OuterGains(kp=log_uniform(1.0, 1e5), kd=log_uniform(0.1, 1e3))
+        ls = outer_loop_dt(p, gains)
+        if not is_stable(ls.S).is_stable:
+            continue
+        found += 1
+        omega, peak = sensitivity_peak(ls.S)
+        s_mag = _mp_blocks_s(p, gains)
+        want = s_mag(omega)
+        assert abs(peak - want) <= 1e-13 * want, (p, gains, peak, want)
+        _, (s_val,), _ = ls.st_response([omega])
+        assert abs(abs(s_val) - want) <= 1e-13 * want, (p, gains, s_val, want)
+        # and no larger value of the blocks' |S| next to it
+        lo, hi = omega * (1.0 - 1e-3), min(omega * (1.0 + 1e-3), ls.L.nyquist)
+        assert s_mag(_mp_golden_max(s_mag, lo, hi)) <= peak * (1.0 + 1e-13)
+
+
+@pytest.mark.parametrize("x", [1e-9, 1e-6])
+def test_inner_dt_closed_forms_at_small_x(x):
+    # in z the stored pole was fl(x - 1), off u = -x by 2.8e-8 relative at
+    # x = 1e-9
+    ls = _inner_dt(x)
+    x = ls.L.num.coeffs[0]
+    assert ls.S.den.coeffs == (1.0, x)
+    assert contour_roots(ls.S.den) == (complex(-x),)
+    assert ls.S.poles() == (1.0 - x,)
+    nyq = math.pi / TS
+    if x > BOUNDARY_TOL:  # at x = 1e-9 the pole is on the boundary band: no peak
+        assert sensitivity_peak(ls.S) == (nyq, pytest.approx(nyquist_s_magnitude(x), rel=1e-15))
+    _, (s_val,), (t_val,) = ls.st_response([nyq])
+    assert abs(abs(s_val) - nyquist_s_magnitude(x)) <= 1e-15 * abs(s_val)
+    assert abs(abs(t_val) - nyquist_t_magnitude(x)) <= 1e-15 * abs(t_val)
 
 
 # -------------------------------------------------------------- constraints
@@ -590,10 +656,11 @@ def test_root_locus_residual_invariant():
     table = root_locus(_dt_alpha_build, values)
     assert len(table) == 41
     for row in table:
+        # chi in u = z - 1, the roots in z
         chi = _dt_alpha_build(row.param).S.den
         bound = 1e-8 * chi.max_abs
         for r in row.roots:
-            assert abs(chi(r)) <= bound * max(1.0, abs(r)) ** chi.degree
+            assert abs(chi(r - 1.0)) <= bound * max(1.0, abs(r - 1.0)) ** chi.degree
 
 
 def test_root_locus_single_flip_over_alpha():
@@ -644,13 +711,14 @@ def test_root_locus_stacked_solve_bitwise_equals_per_point(build, values):
     assert counted.calls >= len(values)  # every value was built
     assert [row.param for row in table] == [float(v) for v in values]
     for row in table:
+        # chi is solved in u = z - 1 and its roots are reported as z = 1 + u
         loops = build(row.param)
-        roots = poly_roots(loops.S.den)
+        roots = 1.0 + np.array(poly_roots(loops.S.den))
         # same values, same order, same signs of zero
         got = np.array(row.roots).tobytes()
-        assert got == np.array(roots).tobytes()
-        assert got == companion_roots(loops.S.den).tobytes()
-        assert row.stable == classify_roots(roots, loops.L.ts).is_stable
+        assert got == roots.tobytes()
+        assert got == (1.0 + companion_roots(loops.S.den)).tobytes()
+        assert row.stable == classify_roots(tuple(roots), loops.L.ts).is_stable
     # both sweeps cross the stability boundary
     assert table.flip_count() >= 1
 
@@ -697,7 +765,7 @@ def test_root_locus_affine_pencil_against_mpmath(build, exact, values):
     assert [row.param for row in table] == [float(v) for v in values]
     for row in table:
         loops = build(row.param)
-        verdict = classify_roots(poly_roots(loops.S.den), loops.L.ts)
+        verdict = classify_roots(loops.S.poles(), loops.L.ts)
         assert row.stable == verdict.is_stable
     assert table.flip_count() >= 1
     # a 50-digit oracle on every tenth row; measured worst 8.2e-12 (gdob-log
@@ -712,11 +780,11 @@ def test_root_locus_affine_pencil_against_mpmath(build, exact, values):
 
 
 def _pencil_loop(v: float, ts: float | None) -> LoopSet:
-    """chi = z^2 - z + v, whose complex roots have |r|^2 = v, or chi = s + v."""
+    """chi = z^2 - z + v = u^2 + u + v, whose complex z roots have |z|^2 = v, or chi = s + v."""
     if ts is None:
         L = RationalTransferFunction(Polynomial((v,)), Polynomial((1.0, 0.0)))
     else:
-        L = RationalTransferFunction(Polynomial((v,)), Polynomial((1.0, -1.0, 0.0)), ts=ts)
+        L = RationalTransferFunction(Polynomial((v,)), Polynomial((1.0, 1.0, 0.0)), ts=ts)
     return LoopSet.from_open_loop(L)
 
 
@@ -829,7 +897,7 @@ def _bisect_per_point(build, lo: float, hi: float) -> float:
 
     def stable_at(v: float) -> bool:
         loops = build(v)
-        return classify_roots(poly_roots(loops.S.den), loops.L.ts).is_stable
+        return classify_roots(loops.S.poles(), loops.L.ts).is_stable
 
     s_lo = stable_at(lo)
     while hi - lo > 1e-6 * max(abs(lo), abs(hi)):

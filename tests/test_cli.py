@@ -142,6 +142,22 @@ def test_freq_answers_stable_loops(capsys, flags):
         assert abs(s + t - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("ts", ["1e-3", "1e-6", "0.00013489628825916533"])
+def test_freq_outer_z_nyquist_row(capsys, ts):
+    # T vanishes at the ZoH zero, u = -2, which is exactly the last row
+    rc, out, err = _run(
+        capsys,
+        [
+            "freq", "--domain", "z", "--loop", "outer", "--alpha", "1", "--gdob", "750",
+            "--ts", ts, "--kp", "1000", "--kd", "250", "--points", "33",
+        ],
+    )
+    assert rc == 0 and err == ""
+    _, rows = _rows(out)
+    assert float(rows[-1][0]) == math.pi / float(ts)
+    assert abs(float(rows[-1][1]) - 1.0) <= 2.0**-52 and rows[-1][3:] == ["0", "0"]
+
+
 def test_freq_refuses_pole_on_nyquist(capsys):
     # x = 2 puts the inner loop's closed-loop pole at z = -1
     rc, out, err = _run(

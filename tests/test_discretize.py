@@ -22,16 +22,17 @@ from doblab.params import DObParams, OuterGains
 
 
 def test_zoh_exact_coefficients():
+    # h*(u + 2)/u^2 in u = z - 1, h = ts^2/2
     tf = zoh_double_integrator(1.0, 0.001)
-    assert tf.num.coeffs == (5e-7, 5e-7)
-    assert tf.den.coeffs == (1.0, -2.0, 1.0)
+    assert tf.num.coeffs == (5e-7, 1e-6)
+    assert tf.den.coeffs == (1.0, 0.0, 0.0)
     assert tf.ts == 0.001
 
 
 def test_zoh_gain_scaling():
     tf = zoh_double_integrator(2.0, 1.0)
-    assert tf.num.coeffs == (1.0, 1.0)
-    assert tf.den.coeffs == (1.0, -2.0, 1.0)
+    assert tf.num.coeffs == (1.0, 2.0)
+    assert tf.den.coeffs == (1.0, 0.0, 0.0)
 
 
 def test_zoh_rejects_bad_ts():
@@ -61,9 +62,10 @@ def test_zoh_step_invariance():
 
 
 def test_pd_exact_coefficients():
+    # ((kp + kd/ts)*u + kp)/(u + 1) in u = z - 1
     tf = backward_euler_pd(OuterGains(kp=1000.0, kd=250.0), 0.001)
-    assert tf.num.coeffs == (251000.0, -250000.0)
-    assert tf.den.coeffs == (1.0, 0.0)
+    assert tf.num.coeffs == (251000.0, 1000.0)
+    assert tf.den.coeffs == (1.0, 1.0)
 
 
 def test_pd_pure_proportional():
@@ -143,9 +145,8 @@ def test_dc_gain_preserved_without_origin_pole():
 
 
 def test_dc_drift_at_small_ts_is_pure_cancellation():
-    # the cleared form mixes coefficient scales ts^0 .. ts^N, so Horner at
-    # z = 1 cancels down by ~ts^N and the DC error grows accordingly; this
-    # pins the ceiling of that drift rather than the well-scaled invariant
+    # the cleared form mixes coefficient scales ts^0 .. ts^N; this pins a
+    # ceiling on the DC drift rather than the well-scaled invariant
     rng = np.random.Generator(np.random.PCG64(71))
     rules = (DiscretizationRule.BACKWARD_EULER, DiscretizationRule.TUSTIN)
     worst = 0.0
@@ -199,7 +200,7 @@ def _seeded_ct_loops(count: int, seed: int) -> list[RationalTransferFunction]:
 
 
 RULE_MAPS = {
-    # s = p(z)/q(z), written with the sample time t
+    # s = p(z)/q(z) as printed, written with the sample time t
     DiscretizationRule.FORWARD_EULER: lambda z, t: (z - 1, t),
     DiscretizationRule.BACKWARD_EULER: lambda z, t: (z - 1, t * z),
     DiscretizationRule.TUSTIN: lambda z, t: (2 * (z - 1), t * (z + 1)),
@@ -219,11 +220,12 @@ def _sympy_cleared(poly: Polynomial, p, q, order: int, z) -> list[float]:
 @pytest.mark.parametrize("rule", list(DiscretizationRule), ids=lambda r: r.value)
 @pytest.mark.parametrize("ts", [1e-3, 1e-4])
 def test_substitute_rounds_each_coefficient_once_against_sympy(rule, ts):
-    # every coefficient is the correctly rounded exact one, bit for bit
-    z = sympy.symbols("z")
-    p, q = RULE_MAPS[rule](z, sympy.Rational(ts))
+    # every coefficient is the correctly rounded exact one in u = z - 1,
+    # bit for bit: the printed map in z, with z = 1 + u substituted
+    u = sympy.symbols("u")
+    p, q = RULE_MAPS[rule](1 + u, sympy.Rational(ts))
     for tf_s in _seeded_ct_loops(30, seed=1729):
         order = max(tf_s.num.degree, tf_s.den.degree)
         tf_z = substitute(tf_s, ts, rule)
-        assert list(tf_z.num.coeffs) == _sympy_cleared(tf_s.num, p, q, order, z)
-        assert list(tf_z.den.coeffs) == _sympy_cleared(tf_s.den, p, q, order, z)
+        assert list(tf_z.num.coeffs) == _sympy_cleared(tf_s.num, p, q, order, u)
+        assert list(tf_z.den.coeffs) == _sympy_cleared(tf_s.den, p, q, order, u)

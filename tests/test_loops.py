@@ -13,6 +13,7 @@ from doblab.lti import (
     Polynomial,
     RationalTransferFunction,
     Stability,
+    contour_points,
     is_stable,
     poly_roots,
     tf_eval,
@@ -92,10 +93,11 @@ def test_inner_dt_characteristic_polynomial_exact():
         p = DObParams(alpha=alpha, g_dob=g, ts=ts)
         x = (alpha * g) * ts
         ls = inner_loop_dt(p)
+        # x/u in u = z - 1
         assert ls.L.num.coeffs == (x,)
-        assert ls.L.den.coeffs == (1.0, -1.0)
-        # closed-loop pole at 1 - x, coefficient-exact
-        assert ls.S.den.coeffs == (1.0, x - 1.0)
+        assert ls.L.den.coeffs == (1.0, 0.0)
+        # closed-loop pole at u = -x, coefficient-exact
+        assert ls.S.den.coeffs == (1.0, x)
         assert ls.T.num.coeffs == (x,)
         assert ls.T.den.coeffs == ls.S.den.coeffs
 
@@ -174,19 +176,23 @@ def test_outer_ct_finite_gv_parallel_decomposition():
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def _sympy_outer_dt(alpha, g, ts, kp, kd):
+    """L's coefficients in u from the printed z blocks, expanded exactly at z = 1 + u."""
+    u = sympy.symbols("u")
+    z = 1 + u
+    a, gg, t, kpp, kdd = (sympy.Rational(v) for v in (alpha, g, ts, kp, kd))
+    x = a * gg * t
+    num = ((kpp + kdd / t) * z - kdd / t) * a * ((1 + gg * t) * z - 1) * t**2 / 2 * (z + 1)
+    den = z * (z - (1 - x)) * (z - 1) ** 2
+    return [
+        [float(c) for c in sympy.Poly(sympy.expand(e), u).all_coeffs()] for e in (num, den)
+    ]
+
+
 def test_outer_dt_equals_block_product():
-    # independent route: convolve the three printed block polynomials
+    # independent route: the printed z blocks, expanded by sympy at z = 1 + u
     alpha, g, ts = 1.0, 750.0, 1e-3
-    kp, kd = SWEEP_GAINS.kp, SWEEP_GAINS.kd
-    x = (alpha * g) * ts
-    c_num = (kp + kd / ts, -kd / ts)
-    c_den = (1.0, 0.0)
-    ci_num = (alpha * (1.0 + g * ts), -alpha)
-    ci_den = (1.0, -(1.0 - x))
-    gp_num = (ts * ts / 2.0, ts * ts / 2.0)
-    gp_den = (1.0, -2.0, 1.0)
-    num_ref = np.convolve(np.convolve(c_num, ci_num), gp_num)
-    den_ref = np.convolve(np.convolve(c_den, ci_den), gp_den)
+    num_ref, den_ref = _sympy_outer_dt(alpha, g, ts, SWEEP_GAINS.kp, SWEEP_GAINS.kd)
 
     ls = outer_loop_dt(DObParams(alpha=alpha, g_dob=g, ts=ts), SWEEP_GAINS)
     assert np.allclose(ls.L.num.coeffs, num_ref, rtol=1e-13, atol=0.0)
@@ -221,7 +227,7 @@ def test_dt_poles_approach_sampled_ct_poles():
     errs = {}
     for ts in (1e-4, 1e-5):
         dt = outer_loop_dt(DObParams(alpha=1.0, g_dob=750.0, ts=ts), SWEEP_GAINS)
-        dt_poles = poly_roots(dt.S.den)
+        dt_poles = dt.S.poles()
         errs[ts] = max(
             min(abs(z - np.exp(pc * ts)) for z in dt_poles) for pc in ct_poles
         )
@@ -234,11 +240,12 @@ def test_dt_poles_approach_sampled_ct_poles():
 
 
 def test_ci_compensator_coefficients():
+    # alpha*((1 + g*ts)*u + g*ts)/(u + x) in u = z - 1
     p = DObParams(alpha=1.0, g_dob=500.0, ts=1e-3)
     x = (1.0 * 500.0) * 1e-3
     ci = ci_compensator_dt(p)
-    assert ci.tf.num.coeffs == (1.0 * (1.0 + 500.0 * 1e-3), -1.0)
-    assert ci.tf.den.coeffs == (1.0, -(1.0 - x))
+    assert ci.tf.num.coeffs == (1.0 * (1.0 + 500.0 * 1e-3), 1.0 * (500.0 * 1e-3))
+    assert ci.tf.den.coeffs == (1.0, x)
     assert ci.threshold == pytest.approx(1.0 / 1.5, rel=1e-15)
 
 
@@ -251,7 +258,7 @@ def test_ci_compensator_phase_classification():
     assert at.character is PhaseCharacter.NEUTRAL
     # at the threshold the zero cancels the pole: C_i collapses to a gain
     zero = at.tf.num.coeffs[1] / -at.tf.num.coeffs[0]
-    pole = 1.0 - per_sample_gain(DObParams(alpha=threshold, g_dob=g, ts=ts))
+    pole = -per_sample_gain(DObParams(alpha=threshold, g_dob=g, ts=ts))
     assert zero == pytest.approx(pole, rel=1e-12)
 
 
@@ -343,7 +350,10 @@ def test_array_evaluation_matches_scalar_path(x, ts, alpha, g, gv, gains):
 
 
 def _exact_st(L: RationalTransferFunction, om: np.ndarray):
-    """S, T, |n|, |d| and |d + n| from 50-digit evaluations of L.num and L.den."""
+    """S, T, |n|, |d| and |d + n| from 50-digit evaluations of L.num and L.den.
+
+    A sampled L is evaluated at u = e^(j*omega*ts) - 1, its stored variable.
+    """
     with mpmath.workdps(50):
         num = [mpmath.mpf(c) for c in L.num.coeffs]
         den = [mpmath.mpf(c) for c in L.den.coeffs]
@@ -352,7 +362,7 @@ def _exact_st(L: RationalTransferFunction, om: np.ndarray):
             if L.ts is None:
                 p = mpmath.mpc(0, float(w))
             else:
-                p = mpmath.expj(mpmath.mpf(float(w)) * mpmath.mpf(L.ts))
+                p = mpmath.expj(mpmath.mpf(float(w)) * mpmath.mpf(L.ts)) - 1
             n, d = mpmath.polyval(num, p), mpmath.polyval(den, p)
             exact.append((complex(d / (d + n)), complex(n / (d + n)), abs(n), abs(d), abs(d + n)))
     s_exact, t_exact = (np.array([e[k] for e in exact]) for k in (0, 1))
@@ -360,7 +370,7 @@ def _exact_st(L: RationalTransferFunction, om: np.ndarray):
 
 
 def _horner_envelope(poly: Polynomial, exact_abs: np.ndarray) -> np.ndarray:
-    """A priori relative error of complex Horner evaluation on |z| = 1."""
+    """A priori relative error of complex Horner evaluation, weighted as on |z| = 1."""
     return 2.0 * poly.degree * EPS * sum(abs(c) for c in poly.coeffs) / exact_abs
 
 
@@ -459,6 +469,30 @@ def test_st_response_refuses_pole():
         ls.st_response(om)
     # one point short of Nyquist is answered
     ls.st_response(om[:-1])
+
+
+# ts where (pi/ts)*ts rounds away from pi: an angle taken as omega*ts misses
+# the Nyquist point there, (omega/nyquist)*pi does not
+NYQUIST_TS = [1e-3, 1e-4, 1e-6, 1.2022644346174132e-06, 0.00013489628825916533]
+
+
+@pytest.mark.parametrize("ts", NYQUIST_TS)
+def test_nyquist_row_is_exact(ts):
+    assert sum((math.pi / t) * t != math.pi for t in NYQUIST_TS) == 3
+    assert contour_points(math.pi, True) == complex(-2.0, 0.0)
+    assert contour_points(np.array([math.pi]), True)[0] == complex(-2.0, 0.0)
+    om = np.linspace(0.0, math.pi / ts, 64)
+    # the ZoH zero sits at u = -2, so outer-loop T is 0 at Nyquist
+    for alpha, gains in ((1.0, SWEEP_GAINS), (0.3, OuterGains(kp=50.0, kd=0.0))):
+        _, s_vals, t_vals = outer_loop_dt(DObParams(alpha, 500.0, ts=ts), gains).st_response(om)
+        assert t_vals[-1] == 0.0 and abs(s_vals[-1] - 1.0) <= EPS
+        assert np.angle(t_vals[-1]) == 0.0 and math.copysign(1.0, np.angle(t_vals[-1])) == 1.0
+    # the inner loop's S = u/(u + x) and T = x/(u + x) are real at u = -2
+    p = DObParams(1.0, 0.75 / ts, ts=ts)
+    _, s_vals, t_vals = inner_loop_dt(p).st_response(om)
+    assert s_vals[-1].imag == 0.0 and t_vals[-1].imag == 0.0
+    x = per_sample_gain(p)
+    assert abs(s_vals[-1] - 2.0 / (2.0 - x)) <= 1e-15 * abs(s_vals[-1])
 
 
 def test_st_response_rejects_beyond_nyquist():

@@ -24,16 +24,17 @@ from doblab.lti import (
 )
 
 
+# sampled systems are written in u = z - 1
+
+
 def s_i(x, ts=1e-3):
-    return RationalTransferFunction(
-        Polynomial((1.0, -1.0)), Polynomial((1.0, -(1.0 - x))), ts=ts
-    )
+    """S of the sampled inner loop, (z - 1)/(z - 1 + x) = u/(u + x)."""
+    return RationalTransferFunction(Polynomial((1.0, 0.0)), Polynomial((1.0, x)), ts=ts)
 
 
 def t_i(x, ts=1e-3):
-    return RationalTransferFunction(
-        Polynomial((x,)), Polynomial((1.0, -(1.0 - x))), ts=ts
-    )
+    """T of the sampled inner loop, x/(u + x)."""
+    return RationalTransferFunction(Polynomial((x,)), Polynomial((1.0, x)), ts=ts)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +183,10 @@ def test_eval_refuses_pole():
 def test_connect_feedback_builds_complementary():
     # closing the loop is LoopSet.from_open_loop: T = L/(1 + L)
     x = 0.5
-    L = RationalTransferFunction(Polynomial((x,)), Polynomial((1.0, -1.0)), ts=1e-3)
+    L = RationalTransferFunction(Polynomial((x,)), Polynomial((1.0, 0.0)), ts=1e-3)
     t = LoopSet.from_open_loop(L).T
     assert t.num.coeffs == (x,)
-    assert t.den.coeffs == (1.0, -(1.0 - x))
+    assert t.den.coeffs == (1.0, x)
 
 
 def test_connect_series_identity():
@@ -243,7 +244,8 @@ def test_stability_agrees_with_explicit_root_check():
         verdict = is_stable(tf)
         roots = poly_roots(tf.den)
         if discrete:
-            worst = max(abs(r) for r in roots) - 1.0
+            # the stored variable is u = z - 1
+            worst = max(abs(1.0 + r) for r in roots) - 1.0
         else:
             worst = max(r.real for r in roots)
         if worst < -BOUNDARY_TOL:
@@ -288,8 +290,8 @@ def test_stable_rows_equal_classify_roots(ts):
 
 
 def _inner_loop(x, ts=1e-3):
-    """Sampled inner loop x/(z - 1): its S is s_i(x) and its T is t_i(x)."""
-    L = RationalTransferFunction(Polynomial((x,)), Polynomial((1.0, -1.0)), ts=ts)
+    """Sampled inner loop x/(z - 1) = x/u: its S is s_i(x) and its T is t_i(x)."""
+    L = RationalTransferFunction(Polynomial((x,)), Polynomial((1.0, 0.0)), ts=ts)
     return LoopSet.from_open_loop(L)
 
 
