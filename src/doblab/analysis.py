@@ -56,17 +56,10 @@ __all__ = [
 # then to DC (any maximizer of an exactly flat magnitude is equally valid).
 PEAK_TIE_RTOL = 1e-12
 
-# Uniform points of the peak grid, both ends included; each root adds its
-# anchor points to them.
-PEAK_GRID_POINTS = 257
-
 # Golden-section refinement of a peak stops at a bracket this wide relative
 # to its far end: near a smooth maximum the location is determined only to
 # about sqrt(eps), so narrower brackets chase rounding.
 PEAK_XTOL = math.sqrt(math.ulp(1.0))
-
-# A root this close to the frequency contour is treated as sitting on it.
-CONTOUR_TOL = 1e-7
 
 # Total quadrature error above this raises instead of returning a value; in s
 # it is relative to max(1, the largest root magnitude of S).
@@ -119,20 +112,19 @@ def _contour_positions(roots, discrete: bool) -> list[tuple[float, float]]:
     return [(abs(r.imag), abs(r.real)) for r in roots]
 
 
-def _peak_grid(uniform: np.ndarray, roots, discrete: bool) -> np.ndarray:
-    """uniform plus each root's anchors, sorted, inside [0, uniform[-1]].
+def _peak_grid(end: float, roots, discrete: bool) -> np.ndarray:
+    """0, end and each root's anchors, sorted, inside [0, end].
 
     A root's anchors are its position pos and pos +- dist*2^k for k from -3
-    until the offset passes the grid's end, so its peak is resolved at every
-    scale from dist/8 up.
+    until the offset passes end, so its peak is resolved at every scale from
+    dist/8 up.
     """
-    end = uniform[-1]
     pos, dist = np.array(_contour_positions(roots, discrete), dtype=float).reshape(-1, 2).T
     positive = dist[dist > 0.0]
     k_top = math.ceil(math.log2(end) - math.log2(positive.min())) if positive.size else -3
     offsets = np.ldexp(dist[:, None], np.arange(-3, max(k_top, -3) + 1))
     pts = np.concatenate(
-        [uniform, pos, (pos[:, None] - offsets).ravel(), (pos[:, None] + offsets).ravel()]
+        [[0.0, end], pos, (pos[:, None] - offsets).ravel(), (pos[:, None] + offsets).ravel()]
     )
     return np.unique(pts[(pts >= 0.0) & (pts <= end)])
 
@@ -146,22 +138,24 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
     verdict.  The magnitude comes from those roots, never from the expanded
     polynomials: lti.factored_values over the grid, and lead_log +
     sum ln|p - zero| - sum ln|p - pole| (_factored_log_mag) where
-    golden-section search refines the grid's best point.
+    golden-section search refines the grid's maxima.
 
-    The grid is PEAK_GRID_POINTS uniform points plus each root's anchors
-    (_peak_grid), which resolve resonances narrower than the uniform
-    spacing.
+    The grid is a function of the roots alone (_peak_grid): both ends of the
+    contour plus each root's anchors, which resolve its resonance at every
+    scale.  The end is the angle pi for sampled systems and a thousand times
+    the largest nonzero root magnitude (1e3 when there is none) for
+    continuous ones.  Every grid point strictly above both of its neighbours,
+    and the grid's best point, is refined on the bracket of its neighbours,
+    and the best result wins, so a maximum in another basin than the grid's
+    best point is not missed.
 
-    For sampled systems the uniform points span the angle [0, pi], DC and
-    Nyquist included.  Any candidate within PEAK_TIE_RTOL (relative) of the
+    For sampled systems any candidate within PEAK_TIE_RTOL (relative) of the
     largest magnitude found counts as a tie, and ties resolve in this order:
     the Nyquist endpoint first, so the exactly flat case reports the
     conventional frequency; then DC, so a maximum at DC is not moved off it
-    by last-digit rounding differences; then the grid or refined point.
-    Continuous systems get DC and log-spaced points from a thousandth of the
-    smallest nonzero root magnitude to a thousand times the largest, and a
-    biproper system reports omega = inf when its high-frequency gain is the
-    largest.
+    by last-digit rounding differences; then the grid or refined point.  A
+    biproper continuous system reports omega = inf when its high-frequency
+    gain is the largest.
     """
     if tf.num.degree > tf.den.degree:
         raise ValueError("not a proper rational function")
@@ -181,26 +175,24 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
 
     roots = (*zeros, *poles)
     if discrete:
-        uniform = np.linspace(0.0, math.pi, PEAK_GRID_POINTS)
+        end = math.pi
     else:
-        root_mags = [abs(r) for r in roots if abs(r) > 0.0]
-        lo = min(root_mags) / 1e3 if root_mags else 1e-3
-        hi = max(root_mags) * 1e3 if root_mags else 1e3
-        span = np.logspace(math.log10(lo), math.log10(hi), PEAK_GRID_POINTS)
-        uniform = np.concatenate([[0.0], span])
-    grid = _peak_grid(uniform, roots, discrete)
+        end = 1e3 * max((abs(r) for r in roots if abs(r) > 0.0), default=1.0)
+    grid = _peak_grid(end, roots, discrete)
     pts = contour_points(grid, discrete)
     ratio = factored_values(tf.num.lead, zeros, pts) / factored_values(tf.den.lead, poles, pts)
     with np.errstate(divide="ignore"):  # a zero on a grid point gives -inf
         logs = np.log(np.abs(ratio))
-    i = int(np.argmax(logs))
     lead_log = math.log(abs(tf.num.lead / tf.den.lead))
-    refined = _golden_max(
-        _factored_log_mag(lead_log, zeros, poles, lambda x: contour_points(x, discrete)),
-        float(grid[max(i - 1, 0)]),
-        float(grid[min(i + 1, len(grid) - 1)]),
-    )
-    x_best, l_best = max([(float(grid[i]), float(logs[i])), refined], key=lambda c: c[1])
+    f = _factored_log_mag(lead_log, zeros, poles, lambda x: contour_points(x, discrete))
+    i = int(np.argmax(logs))
+    peaks = np.flatnonzero((logs[1:-1] > logs[:-2]) & (logs[1:-1] > logs[2:])) + 1
+    last = len(grid) - 1
+    candidates = [(float(grid[i]), float(logs[i]))] + [
+        _golden_max(f, float(grid[max(k - 1, 0)]), float(grid[min(k + 1, last)]))
+        for k in np.union1d(peaks, [i]).tolist()
+    ]
+    x_best, l_best = max(candidates, key=lambda c: c[1])
     m_best = math.exp(l_best)
 
     if discrete:
@@ -284,8 +276,9 @@ class BodeIntegralReport:
 
     value             the quadrature result
     rhp_pole_sum      continuous: sum of real parts of unstable open-loop
-                      poles; discrete: sum of log-magnitudes of open-loop
-                      poles outside the unit circle
+                      poles; discrete: sum of log-magnitudes of unstable
+                      open-loop poles; unstable is classify_roots's verdict,
+                      so a pole in the BOUNDARY_TOL band does not count
     limit_term        continuous: lim s*L(s); discrete: ln|1 + L(inf)|
     predicted         pi*rhp_pole_sum - (pi/2)*limit_term  (continuous)
                       2*pi*(rhp_pole_sum - limit_term)     (discrete)
@@ -299,6 +292,11 @@ class BodeIntegralReport:
     limit_term: float
     predicted: float
     quadrature_error: float
+
+
+def _unstable(roots, ts: float | None) -> list[complex]:
+    """The roots (s, or z if ts is set) that classify_roots alone calls unstable."""
+    return [r for r in roots if classify_roots((r,), ts).stability is Stability.UNSTABLE]
 
 
 def _bode_integral_dt(
@@ -323,9 +321,7 @@ def _bode_integral_dt(
     if err > QUAD_ERROR_CEILING:
         raise RuntimeError(f"quadrature did not converge: achieved +-{err:.3g}")
 
-    rhp = sum(
-        math.log(abs(1.0 + r)) for r in num_roots if abs(1.0 + r) > 1.0 + CONTOUR_TOL
-    )
+    rhp = sum(math.log(abs(z)) for z in _unstable([1.0 + r for r in num_roots], loop.ts))
     l_inf = loop.num.lead / loop.den.lead if loop.num.degree == loop.den.degree else 0.0
     mag = abs(1.0 + l_inf)
     if mag <= 1e-300:
@@ -377,11 +373,7 @@ def _bode_integral_ct(
     if err > QUAD_ERROR_CEILING * scale:
         raise RuntimeError(f"quadrature did not converge: achieved +-{err:.3g}")
 
-    rhp = sum(
-        r.real
-        for r in num_roots
-        if r.real > CONTOUR_TOL * max(1.0, abs(r))
-    )
+    rhp = sum(r.real for r in _unstable(num_roots, None))
     limit_term = loop.num.lead / loop.den.lead if rel_deg == 1 else 0.0
     predicted = math.pi * rhp - 0.5 * math.pi * limit_term
     return BodeIntegralReport(value, rhp, limit_term, predicted, err)

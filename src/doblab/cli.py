@@ -102,7 +102,8 @@ def _cmd_freq(args) -> int:
     om, s_vals, t_vals = loops.st_response(omega)
     _write_csv(
         ["omega_rad_s", "mag_S", "phase_S_rad", "mag_T", "phase_T_rad"],
-        [om, np.abs(s_vals), np.angle(s_vals), np.abs(t_vals), np.angle(t_vals)],
+        # + 0.0 turns np.angle's -0 (from an imaginary part of -0) into 0
+        [om, np.abs(s_vals), np.angle(s_vals) + 0.0, np.abs(t_vals), np.angle(t_vals) + 0.0],
     )
     return 0
 

@@ -87,10 +87,11 @@ class LoopSet:
         The open loop's denominator d and numerator n are each evaluated in
         factored form (contour_roots, factored_values), and S = d/(d+n),
         T = n/(d+n), so S + T = 1 holds to a few ulp; an exactly zero d or n
-        gives +0, of phase 0.  A sampled grid runs at the angles
-        (omega/nyquist)*pi, so Nyquist is u = -2 exactly, and where n vanishes
-        there to rounding (backward error below eps: the ZoH zero, which float
-        block products move by a few ulp) its root nearest -2 is put there.
+        gives +0, of phase 0, and where n is exactly zero S is exactly 1.  A
+        sampled grid runs at the angles (omega/nyquist)*pi, so Nyquist is
+        u = -2 exactly, and where n vanishes there to rounding (backward error
+        below eps: the ZoH zero, which float block products move by a few ulp)
+        its root nearest -2 is put there.
         A grid is refused where |d + n| <= POLE_EVAL_TOL*(|d| + |n|), where S
         is undefined at rounding level; the message names the first such omega.
         """
@@ -109,7 +110,8 @@ class LoopSet:
         hit = np.flatnonzero(np.abs(w) <= POLE_EVAL_TOL * (np.abs(d) + np.abs(n)))
         if hit.size:
             raise ValueError(f"evaluation at pole: omega={float(om[hit[0]])!r} rad/s")
-        return om, *(np.where(v == 0.0, 0.0, v / w) for v in (d, n))
+        s, t = (np.where(v == 0.0, 0.0, v / w) for v in (d, n))
+        return om, np.where(n == 0.0, 1.0, s), t
 
 
 def inner_loop_ct(p: DObParams) -> LoopSet:

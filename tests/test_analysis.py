@@ -143,6 +143,18 @@ def test_discrete_integral_counts_unstable_open_loop_pole():
     assert r.value == pytest.approx(r.predicted, abs=1e-6)
 
 
+@pytest.mark.parametrize("ts", [None, TS])
+def test_integral_counts_open_loop_poles_outside_the_boundary_band(ts):
+    # L = 1.5/(p - margin): a pole 5e-8 outside the boundary is unstable for
+    # classify_roots and counts; one inside the BOUNDARY_TOL band does not
+    for margin, counted in ((5e-8, True), (0.5 * BOUNDARY_TOL, False)):
+        L = RationalTransferFunction(Polynomial((1.5,)), Polynomial((1.0, -margin)), ts=ts)
+        r = bode_integral(L)
+        want = (margin if ts is None else math.log(1.0 + margin)) if counted else 0.0
+        assert r.rhp_pole_sum == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert r.value == pytest.approx(r.predicted, abs=1e-6)
+
+
 def test_discrete_integral_rejects_improper_loop():
     # the theorem holds only for a causal sampled loop; quadrature of
     # L = 0.3 z^2/(z + 0.5), written in u = z - 1, gives 1.28 against a
@@ -388,6 +400,19 @@ def test_sensitivity_peak_against_dense_grid_and_mpmath(builder):
                 assert abs(peak - want) <= 1e-12 * want, (tf, omega, peak)
             else:
                 assert peak == abs(tf.num.lead / tf.den.lead)
+
+
+def test_sensitivity_peak_refines_every_local_maximum():
+    # |S| has a maximum of 1.01528 at 1.99576 rad/s and a lower one of
+    # 1.01470 at 536 rad/s, whose basin holds the grid's best point;
+    # refining that point alone reported (536.158..., 1.0146969452653676)
+    p = DObParams(alpha=6.269892581620689, g_dob=36.48570843961356, ts=0.002715414878132935)
+    ls = outer_loop_dt(p, OuterGains(kp=1.1982803733761844, kd=1.2923499920001982))
+    omega, peak = sensitivity_peak(ls.S)
+    want = _mp_magnitude(ls.S, omega)
+    assert abs(peak - want) <= 1e-12 * want
+    assert abs(omega / _mp_golden_max(lambda w: _mp_magnitude(ls.S, w), 1.0, 3.0) - 1) <= 1e-6
+    assert peak >= _dense_factored_max(ls.S) * (1.0 - 1e-9)
 
 
 def test_sensitivity_peak_narrow_low_frequency_resonance():

@@ -158,6 +158,29 @@ def test_freq_outer_z_nyquist_row(capsys, ts):
     assert abs(float(rows[-1][1]) - 1.0) <= 2.0**-52 and rows[-1][3:] == ["0", "0"]
 
 
+@pytest.mark.parametrize(
+    "loop_args, want",
+    [
+        # T is exactly 0 at the ZoH zero, so S is exactly 1
+        (
+            ["--loop", "outer", "--alpha", "0.3", "--gdob", "500", "--kp", "50", "--kd", "0"],
+            ["1", "0", "0", "0"],
+        ),
+        # S is a positive real, T a negative one, approached from below
+        (
+            ["--loop", "inner", "--alpha", "1", "--gdob", "750"],
+            ["1.6000000000000001", "0", "0.60000000000000009", "-3.1415926535897931"],
+        ),
+    ],
+)
+def test_freq_nyquist_row_prints_no_negative_zero(capsys, loop_args, want):
+    argv = ["freq", "--domain", "z", "--ts", "1e-3", "--points", "64", *loop_args]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 0 and err == ""
+    _, rows = _rows(out)
+    assert rows[-1][1:] == want
+
+
 def test_freq_refuses_pole_on_nyquist(capsys):
     # x = 2 puts the inner loop's closed-loop pole at z = -1
     rc, out, err = _run(
