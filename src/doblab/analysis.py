@@ -52,8 +52,8 @@ __all__ = [
     "nyquist_t_magnitude",
 ]
 
-# Peak search ties within this relative band resolve to the Nyquist endpoint,
-# then to DC (any maximizer of an exactly flat magnitude is equally valid).
+# Peak search ties within this relative band resolve to the contour's far
+# end, then to DC (any maximizer of an exactly flat magnitude is valid).
 PEAK_TIE_RTOL = 1e-12
 
 # Golden-section refinement of a peak stops at a bracket this wide relative
@@ -61,7 +61,7 @@ PEAK_TIE_RTOL = 1e-12
 # about sqrt(eps), so narrower brackets chase rounding.
 PEAK_XTOL = math.sqrt(math.ulp(1.0))
 
-# Total quadrature error above this raises instead of returning a value; in s
+# Total quadrature error above this (or NaN) raises instead of returning; in s
 # it is relative to max(1, the largest root magnitude of S).
 QUAD_ERROR_CEILING = 1e-4
 
@@ -112,6 +112,11 @@ def _contour_positions(roots, discrete: bool) -> list[tuple[float, float]]:
     return [(abs(r.imag), abs(r.real)) for r in roots]
 
 
+def _contour_end(roots, discrete: bool) -> float:
+    """Far end of the contour: the angle pi in z, 1e3 * max(1, largest |root|) in s."""
+    return math.pi if discrete else 1e3 * max([1.0] + [abs(r) for r in roots])
+
+
 def _peak_grid(end: float, roots, discrete: bool) -> np.ndarray:
     """0, end and each root's anchors, sorted, inside [0, end].
 
@@ -130,32 +135,23 @@ def _peak_grid(end: float, roots, discrete: bool) -> np.ndarray:
 
 
 def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
-    """Worst-case magnitude over frequency and where it occurs.
+    """Worst-case magnitude over frequency (rad/s) and where it occurs.
 
     Requires a strictly stable proper system, and never refuses one.  The
     numerator and the denominator are each solved once by lti.contour_roots
-    (in the stored u = z - 1 for sampled systems), and the poles give the stability
-    verdict.  The magnitude comes from those roots, never from the expanded
-    polynomials: lti.factored_values over the grid, and lead_log +
-    sum ln|p - zero| - sum ln|p - pole| (_factored_log_mag) where
-    golden-section search refines the grid's maxima.
+    (in the stored u = z - 1 for sampled systems); the poles give the
+    stability verdict, and the magnitude comes from the roots alone:
+    lti.factored_values on _peak_grid (DC, _contour_end and each root's
+    anchors), then golden-section search on _factored_log_mag around every
+    grid point above both neighbours and around the grid's best point.  The
+    best result wins, so a maximum outside the grid's best basin is found.
 
-    The grid is a function of the roots alone (_peak_grid): both ends of the
-    contour plus each root's anchors, which resolve its resonance at every
-    scale.  The end is the angle pi for sampled systems and a thousand times
-    the largest nonzero root magnitude (1e3 when there is none) for
-    continuous ones.  Every grid point strictly above both of its neighbours,
-    and the grid's best point, is refined on the bracket of its neighbours,
-    and the best result wins, so a maximum in another basin than the grid's
-    best point is not missed.
-
-    For sampled systems any candidate within PEAK_TIE_RTOL (relative) of the
-    largest magnitude found counts as a tie, and ties resolve in this order:
-    the Nyquist endpoint first, so the exactly flat case reports the
-    conventional frequency; then DC, so a maximum at DC is not moved off it
-    by last-digit rounding differences; then the grid or refined point.  A
-    biproper continuous system reports omega = inf when its high-frequency
-    gain is the largest.
+    One end rule serves both domains: an end of the contour within
+    PEAK_TIE_RTOL (relative) of the best magnitude wins, the far end first,
+    then DC.  So an exactly flat magnitude reports the far end, and rounding
+    does not move a maximum off an end.  The far end is Nyquist in z, and
+    omega = inf in s, where the magnitude tends to the lead ratio if the
+    system is biproper and to 0 otherwise.
     """
     if tf.num.degree > tf.den.degree:
         raise ValueError("not a proper rational function")
@@ -169,22 +165,19 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
             else "marginally stable"
         )
         raise ValueError(f"peak undefined for {kind} system")
+    far_w = tf.nyquist if discrete else math.inf
     if tf.num.is_zero:
-        return (tf.nyquist if discrete else 0.0), 0.0
+        return far_w, 0.0
     zeros = contour_roots(tf.num)
 
     roots = (*zeros, *poles)
-    if discrete:
-        end = math.pi
-    else:
-        end = 1e3 * max((abs(r) for r in roots if abs(r) > 0.0), default=1.0)
-    grid = _peak_grid(end, roots, discrete)
+    grid = _peak_grid(_contour_end(roots, discrete), roots, discrete)
     pts = contour_points(grid, discrete)
     ratio = factored_values(tf.num.lead, zeros, pts) / factored_values(tf.den.lead, poles, pts)
     with np.errstate(divide="ignore"):  # a zero on a grid point gives -inf
         logs = np.log(np.abs(ratio))
-    lead_log = math.log(abs(tf.num.lead / tf.den.lead))
-    f = _factored_log_mag(lead_log, zeros, poles, lambda x: contour_points(x, discrete))
+    lead_ratio = abs(tf.num.lead / tf.den.lead)
+    f = _factored_log_mag(math.log(lead_ratio), zeros, poles, discrete)
     i = int(np.argmax(logs))
     peaks = np.flatnonzero((logs[1:-1] > logs[:-2]) & (logs[1:-1] > logs[2:])) + 1
     last = len(grid) - 1
@@ -196,16 +189,14 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
     m_best = math.exp(l_best)
 
     if discrete:
-        floor = m_best - PEAK_TIE_RTOL * max(m_best, 1e-300)
-        for k, w in ((-1, tf.nyquist), (0, 0.0)):
-            if math.exp(logs[k]) >= floor:
-                return w, math.exp(logs[k])
-        return x_best / tf.ts, m_best
-    if tf.num.degree == tf.den.degree:
-        asym = abs(tf.num.lead / tf.den.lead)
-        if asym > m_best:
-            return math.inf, asym
-    return x_best, m_best
+        far = math.exp(logs[-1])
+    else:
+        far = lead_ratio if tf.num.degree == tf.den.degree else 0.0
+    floor = m_best - PEAK_TIE_RTOL * max(m_best, 1e-300)
+    for w, m in ((far_w, far), (0.0, math.exp(logs[0]))):
+        if m >= floor:
+            return w, m
+    return (x_best / tf.ts if discrete else x_best), m_best
 
 
 def nyquist_s_magnitude(gain_product: float) -> float:
@@ -226,14 +217,11 @@ def nyquist_t_magnitude(gain_product: float) -> float:
 # sensitivity integral
 
 
-def _quad(f, a: float, b: float):
-    out = quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=200, full_output=1)
-    return out[0], out[1]
+def _factored_log_mag(lead_log: float, plus_roots, minus_roots, discrete: bool):
+    """x -> lead_log + sum ln|p - plus| - sum ln|p - minus| at p = contour_points(x)."""
 
-
-def _factored_log_mag(lead_log: float, plus_roots, minus_roots, point_of):
     def f(x: float) -> float:
-        pt = point_of(x)
+        pt = contour_points(x, discrete)
         acc = lead_log
         for r in plus_roots:
             d = abs(pt - r)
@@ -247,7 +235,7 @@ def _factored_log_mag(lead_log: float, plus_roots, minus_roots, point_of):
 
 
 def _integrate_log_mag(f, a: float, b: float, cuts):
-    """Integral of f over [a, b], one adaptive quadrature per piece.
+    """Integral of f over [a, b] and its error, one QUADPACK quad per piece.
 
     The pieces run between the cuts inside (a, b), and no piece reaches past
     ten times its left end.  QUADPACK's QAGS extrapolates a log singularity
@@ -264,9 +252,9 @@ def _integrate_log_mag(f, a: float, b: float, cuts):
     for lo, hi in zip(pts[:-1], pts[1:]):
         if hi - lo <= 1e-15 * max(1.0, abs(hi)):
             continue
-        v, e = _quad(f, lo, hi)
-        total += v
-        err += e
+        out = quad(f, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=200, full_output=1)
+        total += out[0]
+        err += out[1]
     return total, err
 
 
@@ -299,106 +287,88 @@ def _unstable(roots, ts: float | None) -> list[complex]:
     return [r for r in roots if classify_roots((r,), ts).stability is Stability.UNSTABLE]
 
 
-def _bode_integral_dt(
-    loop: RationalTransferFunction, num_roots, den_roots, lead_log: float
-) -> BodeIntegralReport:
-    f = _factored_log_mag(
-        lead_log, num_roots, den_roots, lambda th: contour_points(th, True)
-    )
-
-    # each root of S cuts the half circle at its angle and at its angle plus
-    # and minus its distance to the circle, where its log peak widens
-    cuts = [
-        x
-        for pos, dist in _contour_positions((*num_roots, *den_roots), True)
-        for x in (pos - dist, pos, pos + dist)
-    ]
-    half, err = _integrate_log_mag(f, 0.0, math.pi, cuts)
-    # the integrand is even in theta, so the full-circle integral is twice
-    # the half-range one; the result is reported in omega*ts units
-    value = 2.0 * half
-    err *= 2.0
-    if err > QUAD_ERROR_CEILING:
-        raise RuntimeError(f"quadrature did not converge: achieved +-{err:.3g}")
-
-    rhp = sum(math.log(abs(z)) for z in _unstable([1.0 + r for r in num_roots], loop.ts))
-    l_inf = loop.num.lead / loop.den.lead if loop.num.degree == loop.den.degree else 0.0
-    mag = abs(1.0 + l_inf)
-    if mag <= 1e-300:
-        raise ValueError("limit term undefined: 1 + L(inf) vanishes")
-    limit_term = math.log(mag)
-    predicted = 2.0 * math.pi * (rhp - limit_term)
-    return BodeIntegralReport(value, rhp, limit_term, predicted, err)
-
-
-def _bode_integral_ct(
-    loop: RationalTransferFunction, num_roots, den_roots, lead_log: float
-) -> BodeIntegralReport:
-    rel_deg = loop.den.degree - loop.num.degree
-    if rel_deg < 1:
-        raise ValueError(
-            "integral diverges: continuous loop must have relative degree >= 1"
-        )
-    # S is biproper with unit high-frequency gain here (its denominator
-    # shares the leading coefficient of L's when rel_deg >= 1)
-    f = _factored_log_mag(lead_log, num_roots, den_roots, lambda w: 1j * w)
-
-    roots = (*num_roots, *den_roots)
-    scale = max([1.0] + [abs(r) for r in roots])
-    cutoff = 1e3 * scale
-    # each root of S cuts the axis at its height, at its height plus and
-    # minus its distance to the axis, and at its corner frequency
-    cuts = [
-        x
-        for (pos, dist), r in zip(_contour_positions(roots, False), roots)
-        for x in (pos - dist, pos, pos + dist, abs(r))
-    ]
-    body, err = _integrate_log_mag(f, 0.0, cutoff, cuts)
-
-    # Beyond the cutoff c, ln|S| ~ A/w^2 + B/w^4 (odd powers are imaginary
-    # for real coefficients); fit a = A/c^2 and b = B/c^4 at w = c and 2c and
-    # integrate the model to infinity.  The fit multiplies the rounding of f,
-    # which is a few ulp of each log term, by up to 17*c/3.
-    f1 = f(cutoff)
-    f2 = f(2.0 * cutoff)
-    a_fit = (16.0 * f2 - f1) / 3.0
-    b_fit = f1 - a_fit
-    tail = cutoff * (a_fit + b_fit / 3.0)
-    rounding = 2.0 * math.ulp(1.0) * (
-        abs(lead_log) + sum(abs(math.log(abs(2j * cutoff - r))) + 1.0 for r in roots)
-    )
-    err += cutoff * abs(b_fit) / 3.0 + 17.0 * cutoff / 3.0 * rounding + 1e-10
-    value = body + tail
-    # the integral and its rounding grow with the roots, so the ceiling does too
-    if err > QUAD_ERROR_CEILING * scale:
-        raise RuntimeError(f"quadrature did not converge: achieved +-{err:.3g}")
-
-    rhp = sum(r.real for r in _unstable(num_roots, None))
-    limit_term = loop.num.lead / loop.den.lead if rel_deg == 1 else 0.0
-    predicted = math.pi * rhp - 0.5 * math.pi * limit_term
-    return BodeIntegralReport(value, rhp, limit_term, predicted, err)
-
-
 def bode_integral(loop: RationalTransferFunction) -> BodeIntegralReport:
     """Numeric integral of ln|S| for the open loop, with theorem prediction.
 
-    Continuous: integral of ln|S(j*omega)| over omega in [0, inf), as
-    adaptive quadrature up to a cutoff plus an analytic asymptotic tail.
-    Discrete: integral of ln|S(exp(j*omega*ts))| d(omega*ts) over the full
-    circle, reduced to [0, pi] by symmetry.  Each root of S cuts the range at
-    its position along the contour and at that position plus and minus its
-    distance to the contour, and each piece is one QUADPACK run.  A root on
-    the contour gives an integrable log singularity at the end of a piece,
-    which QUADPACK's extrapolation integrates.
+    One body serves both domains.  S comes from LoopSet.from_open_loop, so
+    an improper or degenerate loop is refused there, and its roots from
+    lti.contour_roots, the solve the peak search uses.  _integrate_log_mag
+    integrates _factored_log_mag of those roots from 0 to _contour_end, cut
+    at each root's position along the contour and that position plus and
+    minus its distance to it; QUADPACK's extrapolation integrates the log
+    singularity of a root on the contour at the end of a piece.  An error
+    estimate that is not at most its ceiling (NaN included) raises before
+    the limit term is formed.
 
-    S comes from LoopSet.from_open_loop, so an improper or degenerate loop
-    is refused there in either domain, and its roots from lti.contour_roots
-    (in u = z - 1 if sampled), the solve that the peak search also uses.
+    The domains differ only where the theorem does.  In z (Sung & Hara) the
+    integral over the full circle, in omega*ts units, is twice the half
+    circle's.  In s (Freudenberg & Looze) the loop needs relative degree
+    >= 1, each root also cuts at its magnitude, a fitted tail beyond the end
+    is added, and the ceiling scales with max(1, largest root magnitude).
+    Each domain keeps its own rhp_pole_sum, limit_term and predicted.
     """
     S = LoopSet.from_open_loop(loop).S
+    discrete = loop.is_discrete
+    rel_deg = loop.den.degree - loop.num.degree
     lead_log = math.log(abs(S.num.lead / S.den.lead))
-    args = (loop, contour_roots(S.num), contour_roots(S.den), lead_log)
-    return _bode_integral_dt(*args) if loop.is_discrete else _bode_integral_ct(*args)
+    num_roots, den_roots = contour_roots(S.num), contour_roots(S.den)
+    if not discrete and rel_deg < 1:
+        raise ValueError(
+            "integral diverges: continuous loop must have relative degree >= 1"
+        )
+    # in s, S is biproper with unit high-frequency gain (its denominator
+    # shares the leading coefficient of L's when rel_deg >= 1)
+    f = _factored_log_mag(lead_log, num_roots, den_roots, discrete)
+    roots = (*num_roots, *den_roots)
+    # in s each root also cuts at its corner frequency |r|; in z the repeated
+    # pos is dropped, as _integrate_log_mag takes the cuts as a set
+    cuts = [
+        x
+        for (pos, dist), r in zip(_contour_positions(roots, discrete), roots)
+        for x in (pos - dist, pos, pos + dist, pos if discrete else abs(r))
+    ]
+    end = _contour_end(roots, discrete)
+    value, err = _integrate_log_mag(f, 0.0, end, cuts)
+
+    if discrete:
+        # the integrand is even in theta, so the full-circle integral is
+        # twice the half-range one; the result is in omega*ts units
+        value, err, ceiling = 2.0 * value, 2.0 * err, QUAD_ERROR_CEILING
+    else:
+        # Beyond the end c, ln|S| ~ A/w^2 + B/w^4 (odd powers are
+        # imaginary for real coefficients); fit a = A/c^2 and b = B/c^4 at
+        # w = c and 2c and integrate the model to infinity.  The fit
+        # multiplies the rounding of f, which is a few ulp of each log term,
+        # by up to 17*c/3.
+        f1 = f(end)
+        f2 = f(2.0 * end)
+        a_fit = (16.0 * f2 - f1) / 3.0
+        b_fit = f1 - a_fit
+        value += end * (a_fit + b_fit / 3.0)
+        rounding = 2.0 * math.ulp(1.0) * (
+            abs(lead_log) + sum(abs(math.log(abs(2j * end - r))) + 1.0 for r in roots)
+        )
+        err += end * abs(b_fit) / 3.0 + 17.0 * end / 3.0 * rounding + 1e-10
+        # the integral and its rounding grow with the roots, so the ceiling
+        # does too
+        ceiling = QUAD_ERROR_CEILING * (end / 1e3)
+    if not err <= ceiling:
+        raise RuntimeError(f"quadrature did not converge: achieved +-{err:.3g}")
+
+    if discrete:
+        unstable = _unstable([1.0 + r for r in num_roots], loop.ts)
+        rhp = sum(math.log(abs(z)) for z in unstable)
+        l_inf = loop.num.lead / loop.den.lead if rel_deg == 0 else 0.0
+        mag = abs(1.0 + l_inf)
+        if mag <= 1e-300:
+            raise ValueError("limit term undefined: 1 + L(inf) vanishes")
+        limit_term = math.log(mag)
+        predicted = 2.0 * math.pi * (rhp - limit_term)
+    else:
+        rhp = sum(r.real for r in _unstable(num_roots, None))
+        limit_term = loop.num.lead / loop.den.lead if rel_deg == 1 else 0.0
+        predicted = math.pi * rhp - 0.5 * math.pi * limit_term
+    return BodeIntegralReport(value, rhp, limit_term, predicted, err)
 
 
 # ---------------------------------------------------------------------------

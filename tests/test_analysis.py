@@ -105,6 +105,42 @@ def test_continuous_peaks_first_order():
     assert peak == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_continuous_complementary_peak_second_order_closed_form(alpha):
+    # inner-s T = wn^2/(s^2 + g_v s + wn^2) with wn^2 = alpha*g_dob*g_v and
+    # zeta = g_v/(2 wn): for zeta >= 1/sqrt(2), that is g_v >= 2*alpha*g_dob,
+    # |T| peaks at DC, and the DC tie clause must report DC itself rather
+    # than a rounding-noise omega next to it; below, the peak is
+    # 1/(2 zeta sqrt(1 - zeta^2)) at wn*sqrt(1 - 2 zeta^2)
+    for g in (100.0, 250.0, 500.0, 1000.0):
+        for gv in (100.0, 300.0, 500.0, 1000.0, 2000.0, 5000.0):
+            ls = inner_loop_ct(DObParams(alpha=alpha, g_dob=g, g_v=gv))
+            omega, peak = sensitivity_peak(ls.T)
+            wn = math.sqrt(alpha * g * gv)
+            zeta = gv / (2.0 * wn)
+            if gv >= 2.0 * alpha * g:
+                assert omega == 0.0, (g, gv, omega)
+                assert abs(peak - 1.0) <= 1e-12, (g, gv, peak)
+            else:
+                want = 1.0 / (2.0 * zeta * math.sqrt(1.0 - zeta * zeta))
+                assert abs(peak - want) <= 1e-12, (g, gv, peak, want)
+                assert omega == pytest.approx(wn * math.sqrt(1.0 - 2.0 * zeta * zeta), rel=1e-6)
+
+
+def test_continuous_peak_far_end_wins_ties():
+    # |S| of this biproper loop tends to 1 as omega -> inf, and its
+    # supremum by 50-digit mpmath is 1.00000000000049, inside PEAK_TIE_RTOL
+    # of that limit, so omega = inf wins the tie; a rule that preferred the
+    # far end only when strictly above the refined maximum returned
+    # (3238392.45..., 1.0000000000005063)
+    p = DObParams(alpha=7.466207822704074, g_dob=0.001845069119572016, g_v=161934.990486253)
+    ls = outer_loop_ct(p, OuterGains(kp=2.0823313003801656, kd=8.956140496266354))
+    assert sensitivity_peak(ls.S) == (math.inf, 1.0)
+    # an identically zero magnitude ties everywhere: the far end again
+    zero = RationalTransferFunction(Polynomial((0.0,)), Polynomial((1.0, 1.0)), ts=None)
+    assert sensitivity_peak(zero) == (math.inf, 0.0)
+
+
 def test_nyquist_magnitude_formulas():
     assert nyquist_s_magnitude(0.5) == pytest.approx(2.0 / 1.5, rel=1e-15)
     assert nyquist_s_magnitude(2.5) == pytest.approx(4.0, rel=1e-15)
@@ -163,6 +199,14 @@ def test_discrete_integral_rejects_improper_loop():
         Polynomial((0.3, 0.6, 0.3)), Polynomial((1.0, 1.5)), ts=TS
     )
     with pytest.raises(ValueError, match="open loop must be proper"):
+        bode_integral(L)
+
+
+def test_discrete_integral_rejects_vanishing_limit_term():
+    # L = -u/(u + 0.5) at ts 1e-3 is proper and S = (u + 0.5)/0.5 integrates
+    # fine, but 1 + L(inf) = 0 leaves ln|1 + L(inf)| undefined
+    L = RationalTransferFunction(Polynomial((-1.0, 0.0)), Polynomial((1.0, 0.5)), ts=TS)
+    with pytest.raises(ValueError, match=r"limit term undefined: 1 \+ L\(inf\) vanishes"):
         bode_integral(L)
 
 

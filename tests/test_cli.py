@@ -397,6 +397,17 @@ def test_bode_integral_discrete_balances(capsys):
     assert abs(values["value"]) <= 1e-3
 
 
+def test_bode_integral_refuses_nan_quadrature(capsys):
+    # with g_dob 1e305 the end of the integral is 1e308 rad/s, the tail fit's
+    # second point overflows, and a NaN error estimate must not pass the ceiling
+    rc, out, err = _run(
+        capsys,
+        ["bode-integral", "--domain", "s", "--loop", "inner", "--alpha", "1", "--gdob", "1e305"],
+    )
+    assert rc == 1 and out == ""
+    assert err.startswith("error: quadrature did not converge")
+
+
 # ---------------------------------------------------------------- rootlocus
 
 
