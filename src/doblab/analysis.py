@@ -24,7 +24,6 @@ from .lti import (
     Stability,
     classify_roots,
     contour_points,
-    contour_roots,
     factored_values,
     is_stable,
     poly_roots,
@@ -138,9 +137,8 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
     """Worst-case magnitude over frequency (rad/s) and where it occurs.
 
     Requires a strictly stable proper system, and never refuses one.  The
-    numerator and the denominator are each solved once by lti.contour_roots
-    (in the stored u = z - 1 for sampled systems); the poles give the
-    stability verdict, and the magnitude comes from the roots alone:
+    verdict is is_stable's, and the magnitude comes from tf.factors alone
+    (roots in the stored u = z - 1 for sampled systems):
     lti.factored_values on _peak_grid (DC, _contour_end and each root's
     anchors), then golden-section search on _factored_log_mag around every
     grid point above both neighbours and around the grid's best point.  The
@@ -153,22 +151,15 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
     omega = inf in s, where the magnitude tends to the lead ratio if the
     system is biproper and to 0 otherwise.
     """
-    if tf.num.degree > tf.den.degree:
-        raise ValueError("not a proper rational function")
-    discrete = tf.is_discrete
-    poles = contour_roots(tf.den)
-    verdict = classify_roots(tuple(1.0 + u for u in poles) if discrete else poles, tf.ts)
-    if verdict.stability is not Stability.STABLE:
-        kind = (
-            "unstable"
-            if verdict.stability is Stability.UNSTABLE
-            else "marginally stable"
-        )
+    stability = is_stable(tf).stability
+    if stability is not Stability.STABLE:
+        kind = "unstable" if stability is Stability.UNSTABLE else "marginally stable"
         raise ValueError(f"peak undefined for {kind} system")
+    discrete = tf.is_discrete
     far_w = tf.nyquist if discrete else math.inf
     if tf.num.is_zero:
         return far_w, 0.0
-    zeros = contour_roots(tf.num)
+    zeros, poles = tf.factors
 
     roots = (*zeros, *poles)
     grid = _peak_grid(_contour_end(roots, discrete), roots, discrete)
@@ -292,13 +283,15 @@ def bode_integral(loop: RationalTransferFunction) -> BodeIntegralReport:
 
     One body serves both domains.  S comes from LoopSet.from_open_loop, so
     an improper or degenerate loop is refused there, and its roots from
-    lti.contour_roots, the solve the peak search uses.  _integrate_log_mag
-    integrates _factored_log_mag of those roots from 0 to _contour_end, cut
-    at each root's position along the contour and that position plus and
-    minus its distance to it; QUADPACK's extrapolation integrates the log
-    singularity of a root on the contour at the end of a piece.  An error
-    estimate that is not at most its ceiling (NaN included) raises before
-    the limit term is formed.
+    S.factors, the ones the peak search and freq read.  The theorem needs a
+    stable closed loop, so an UNSTABLE verdict of classify_roots on S's
+    poles is refused; a MARGINAL one, inside the BOUNDARY_TOL band, is not.
+    _integrate_log_mag integrates _factored_log_mag of the roots from 0 to
+    _contour_end, cut at each root's position along the contour and that
+    position plus and minus its distance to it; QUADPACK's extrapolation
+    integrates the log singularity of a root on the contour at the end of a
+    piece.  An error estimate that is not at most its ceiling (NaN included)
+    raises before the limit term is formed.
 
     The domains differ only where the theorem does.  In z (Sung & Hara) the
     integral over the full circle, in omega*ts units, is twice the half
@@ -311,11 +304,14 @@ def bode_integral(loop: RationalTransferFunction) -> BodeIntegralReport:
     discrete = loop.is_discrete
     rel_deg = loop.den.degree - loop.num.degree
     lead_log = math.log(abs(S.num.lead / S.den.lead))
-    num_roots, den_roots = contour_roots(S.num), contour_roots(S.den)
     if not discrete and rel_deg < 1:
         raise ValueError(
             "integral diverges: continuous loop must have relative degree >= 1"
         )
+    # not is_stable(S): it refuses the improper S where 1 + L(inf) vanishes
+    if classify_roots(S.poles(), S.ts).stability is Stability.UNSTABLE:
+        raise ValueError("prediction undefined for unstable closed loop")
+    num_roots, den_roots = S.factors
     # in s, S is biproper with unit high-frequency gain (its denominator
     # shares the leading coefficient of L's when rel_deg >= 1)
     f = _factored_log_mag(lead_log, num_roots, den_roots, discrete)

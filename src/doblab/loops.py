@@ -36,7 +36,6 @@ from .lti import (
     Polynomial,
     RationalTransferFunction,
     contour_points,
-    contour_roots,
     factored_values,
     tf_connect,
     validate_grid,
@@ -85,13 +84,11 @@ class LoopSet:
         """(omega, S values, T values) over a validated frequency grid.
 
         The open loop's denominator d and numerator n are each evaluated in
-        factored form (contour_roots, factored_values), and S = d/(d+n),
+        factored form (L.factors, factored_values), and S = d/(d+n),
         T = n/(d+n), so S + T = 1 holds to a few ulp; an exactly zero d or n
         gives +0, of phase 0, and where n is exactly zero S is exactly 1.  A
         sampled grid runs at the angles (omega/nyquist)*pi, so Nyquist is
-        u = -2 exactly, and where n vanishes there to rounding (backward error
-        below eps: the ZoH zero, which float block products move by a few ulp)
-        its root nearest -2 is put there.
+        u = -2 exactly, where L.factors puts the ZoH zero.
         A grid is refused where |d + n| <= POLE_EVAL_TOL*(|d| + |n|), where S
         is undefined at rounding level; the message names the first such omega.
         """
@@ -99,12 +96,8 @@ class LoopSet:
         om = validate_grid(L, omega)
         discrete = L.is_discrete
         pts = contour_points(om / L.nyquist * math.pi if discrete else om, discrete)
-        zeros = contour_roots(L.num)
-        scale = np.polyval(np.abs(L.num.coeffs), 2.0)
-        if discrete and zeros and abs(L.num(-2.0)) <= math.ulp(1.0) * scale:
-            near = min(zeros, key=lambda r: abs(r + 2.0))
-            zeros = [-2.0 if r is near else r for r in zeros]
-        d = factored_values(L.den.lead, contour_roots(L.den), pts)
+        zeros, poles = L.factors
+        d = factored_values(L.den.lead, poles, pts)
         n = factored_values(L.num.lead, zeros, pts)
         w = d + n
         hit = np.flatnonzero(np.abs(w) <= POLE_EVAL_TOL * (np.abs(d) + np.abs(n)))

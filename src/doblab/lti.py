@@ -5,10 +5,10 @@ Coefficients are stored highest degree first, matching the ordering used by
 cancels common factors.  A sampled system stores its coefficients in
 u = z - 1 (the delta form), where the roots that sampled integrators cluster
 at z = 1 are small roots, resolved to their own precision; ``poles`` and
-``tf_eval`` still speak z.  A frequency response over a grid is evaluated
-from roots: ``contour_roots`` factors a polynomial once, in its stored
-variable, and ``factored_values`` gives lead * prod(p - r) at the points of
-``contour_points``.  ``tf_eval`` evaluates by Horner at arbitrary points.
+``tf_eval`` still speak z.  ``RationalTransferFunction.factors`` solves a
+transfer function once, in its stored variable; poles, verdicts, peaks, the
+Bode integral and frequency responses read it, via ``factored_values``
+(lead * prod(p - r) at ``contour_points``).  ``tf_eval`` is Horner at any point.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -156,20 +157,58 @@ class RationalTransferFunction:
             raise ValueError("continuous-time system has no Nyquist frequency")
         return math.pi / self.ts
 
+    @cached_property
+    def factors(self) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+        """(zeros, poles) in the stored variable: s, or u = z - 1.
+
+        With each polynomial's lead they give it as lead * prod(x - r)
+        (factored_values); a constant has no roots.  Each polynomial is
+        solved once, by poly_roots, and each root moves by one Newton step
+        where that lowers |p|: ``eigvals`` is backward stable in the norm of
+        the whole companion matrix, so with widely graded coefficients the
+        small roots carry errors of eps times the largest, and one step on
+        the polynomial itself removes them.  In a sampled system, where a
+        polynomial vanishes at Nyquist, u = -2, to rounding
+        (|p(-2)| <= ulp(1)*sum|c_k|*2^k: the ZoH zero, which float block
+        products move by a few ulp), its root nearest -2 is put there.
+        """
+
+        def solve(p: Polynomial) -> tuple[complex, ...]:
+            if p.degree < 1:
+                return ()
+            slope = Polynomial(tuple(c * k for c, k in zip(p.coeffs, range(p.degree, 0, -1))))
+            roots = []
+            for r in poly_roots(p):
+                res, d = p(r), slope(r)
+                if d != 0.0 and abs(p(r - res / d)) < abs(res):
+                    r -= res / d
+                roots.append(r)
+            if self.is_discrete and (
+                abs(p(-2.0)) <= math.ulp(1.0) * np.polyval(np.abs(p.coeffs), 2.0)
+            ):
+                roots[min(range(len(roots)), key=lambda i: abs(roots[i] + 2.0))] = complex(-2.0)
+            return tuple(roots)
+
+        return solve(self.num), solve(self.den)
+
     def poles(self) -> tuple[complex, ...]:
         """Roots of the denominator: s, or z = 1 + u for a sampled system."""
-        roots = _roots(self.den)
-        return roots if self.ts is None else tuple(1.0 + u for u in roots)
+        poles = self.factors[1]
+        return poles if self.ts is None else tuple(1.0 + u for u in poles)
 
     def at_frequency(self, omega: float) -> complex:
-        """Evaluate on the frequency contour: s = j*omega or z = exp(j*omega*ts)."""
-        return _ratio_at(self, self.contour_point(omega))
+        """Evaluate on the frequency contour: s = j*omega or z = exp(j*omega*ts).
 
-    def contour_point(self, omega: float) -> complex:
-        """The stored variable at omega: s = j*omega, or u = exp(j*omega*ts) - 1."""
-        if self.ts is None:
-            return 1j * omega
-        return contour_points(omega / self.nyquist * math.pi, True)
+        Factored (self.factors) at contour_points, so Nyquist is u = -2; only
+        an exactly zero denominator is refused, as nothing cancels near a pole.
+        """
+        zeros, poles = self.factors
+        x = omega / self.nyquist * math.pi if self.is_discrete else omega
+        pt = np.array(contour_points(x, self.is_discrete))
+        d = factored_values(self.den.lead, poles, pt)
+        if d == 0.0:
+            raise ValueError(f"evaluation at pole: omega={omega!r} rad/s")
+        return complex(factored_values(self.num.lead, zeros, pt) / d)
 
     def __call__(self, point: complex) -> complex:
         return tf_eval(self, point)
@@ -182,16 +221,12 @@ def tf_eval(tf: RationalTransferFunction, point: complex) -> complex:
     Refuses points where |den| falls below a relative threshold: evaluating
     essentially on top of a pole would return noise, not data.
     """
-    return _ratio_at(tf, point - 1.0 if tf.is_discrete else point)
-
-
-def _ratio_at(tf: RationalTransferFunction, point: complex) -> complex:
-    """num(point)/den(point) at a point of the stored variable (tf_eval)."""
-    d = tf.den(point)
-    scale = tf.den.max_abs * max(1.0, abs(point)) ** tf.den.degree
+    x = point - 1.0 if tf.is_discrete else point
+    d = tf.den(x)
+    scale = tf.den.max_abs * max(1.0, abs(x)) ** tf.den.degree
     if abs(d) <= POLE_EVAL_TOL * scale:
-        raise ValueError(f"evaluation at pole: point={point!r}")
-    return tf.num(point) / d
+        raise ValueError(f"evaluation at pole: point={x!r}")
+    return tf.num(x) / d
 
 
 def tf_connect(
@@ -266,7 +301,7 @@ def stable_rows(roots: np.ndarray, ts: float | None) -> np.ndarray:
 
 
 def is_stable(tf: RationalTransferFunction) -> StabilityVerdict:
-    """Classify by pole locations of the stored denominator.
+    """Classify by the poles of tf.factors.
 
     Continuous: left half plane; discrete: open unit disk.  Poles within
     BOUNDARY_TOL of the boundary give Marginal.  The function requires a
@@ -292,30 +327,6 @@ def validate_grid(tf: RationalTransferFunction, omega) -> np.ndarray:
             f"frequency grid exceeds the Nyquist limit {tf.nyquist!r} rad/s"
         )
     return om
-
-
-def _roots(p: Polynomial) -> tuple[complex, ...]:
-    """Roots of p, none for a constant."""
-    return poly_roots(p) if p.degree >= 1 else ()
-
-
-def contour_roots(p: Polynomial) -> tuple[complex, ...]:
-    """Roots of p in its stored variable: s, or u = z - 1.
-
-    With p.lead they give p as lead * prod(x - r) (factored_values).  Each
-    root moves by one Newton step where that lowers |p|: ``eigvals`` is
-    backward stable in the norm of the whole companion matrix, so with
-    widely graded coefficients the small roots carry errors of eps times the
-    largest, and one step on the polynomial itself removes them.
-    """
-    slope = Polynomial(tuple(c * k for c, k in zip(p.coeffs, range(p.degree, 0, -1))))
-    out = []
-    for r in _roots(p):
-        res, d = p(r), slope(r)
-        if d != 0.0 and abs(p(r - res / d)) < abs(res):
-            r -= res / d
-        out.append(r)
-    return tuple(out)
 
 
 def contour_points(x, discrete: bool):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from doblab import lti
 from doblab.analysis import (
     OuterGainAudit,
     PeakSpec,
@@ -26,8 +27,8 @@ from doblab.lti import (
     BOUNDARY_TOL,
     Polynomial,
     RationalTransferFunction,
+    Stability,
     classify_roots,
-    contour_roots,
     is_stable,
     poly_roots,
 )
@@ -208,6 +209,33 @@ def test_discrete_integral_rejects_vanishing_limit_term():
     L = RationalTransferFunction(Polynomial((-1.0, 0.0)), Polynomial((1.0, 0.5)), ts=TS)
     with pytest.raises(ValueError, match=r"limit term undefined: 1 \+ L\(inf\) vanishes"):
         bode_integral(L)
+
+
+@pytest.mark.parametrize(
+    "ls",
+    [
+        inner_loop_dt(DObParams(alpha=1.0, g_dob=3000.0, ts=TS)),
+        outer_loop_ct(DObParams(alpha=0.01, g_dob=50.0), SWEEP_GAINS),
+    ],
+    ids=["inner-z-x3", "outer-s-alpha0.01"],
+)
+def test_integral_rejects_unstable_closed_loop(ls):
+    # the theorem assumes a stable closed loop: quadrature gives -4.3552
+    # (-2 pi ln 2, for the pole at z = -2) against a prediction of 0, and
+    # -6.7255 against -4.7124
+    assert is_stable(ls.S).stability is Stability.UNSTABLE
+    with pytest.raises(ValueError, match=r"^prediction undefined for unstable closed loop$"):
+        bode_integral(ls.L)
+
+
+@pytest.mark.parametrize("x", [2.0, 2.0 + 0.5 * BOUNDARY_TOL])
+def test_integral_keeps_marginal_closed_loop(x):
+    # a closed-loop pole inside the BOUNDARY_TOL band is Marginal, not
+    # Unstable, and the integral is still reported
+    ls = _inner_dt(x)
+    assert is_stable(ls.S).stability is Stability.MARGINAL
+    r = bode_integral(ls.L)
+    assert r.predicted == 0.0 and abs(r.value) <= 1e-6
 
 
 def test_continuous_integral_ideal_velocity():
@@ -541,7 +569,7 @@ def test_inner_dt_closed_forms_at_small_x(x):
     ls = _inner_dt(x)
     x = ls.L.num.coeffs[0]
     assert ls.S.den.coeffs == (1.0, x)
-    assert contour_roots(ls.S.den) == (complex(-x),)
+    assert ls.S.factors[1] == (complex(-x),)
     assert ls.S.poles() == (1.0 - x,)
     nyq = math.pi / TS
     if x > BOUNDARY_TOL:  # at x = 1e-9 the pole is on the boundary band: no peak
@@ -549,6 +577,31 @@ def test_inner_dt_closed_forms_at_small_x(x):
     _, (s_val,), (t_val,) = ls.st_response([nyq])
     assert abs(abs(s_val) - nyquist_s_magnitude(x)) <= 1e-15 * abs(s_val)
     assert abs(abs(t_val) - nyquist_t_magnitude(x)) <= 1e-15 * abs(t_val)
+
+
+def test_one_solve_per_polynomial(monkeypatch):
+    # the verdict, the peak and a contour value all read the same S.factors
+    calls = []
+    solve = lti.poly_roots
+
+    def counted(p):
+        calls.append(p)
+        return solve(p)
+
+    monkeypatch.setattr(lti, "poly_roots", counted)
+    S = outer_loop_dt(DObParams(alpha=1.0, g_dob=500.0, ts=TS), SWEEP_GAINS).S
+    assert is_stable(S).is_stable
+    sensitivity_peak(S)
+    S.at_frequency(100.0)
+    assert calls == [S.num, S.den]
+
+
+def test_outer_dt_nyquist_zero_is_exact():
+    # the ZoH zero of the sampled outer loop is z = -1 exactly, so T vanishes
+    # at Nyquist; the float block products leave it a few ulp off u = -2
+    for ls in _random_stable_loops("outer-z", 40, seed=19):
+        assert -2.0 in ls.T.factors[0]
+        assert ls.T.at_frequency(ls.L.nyquist) == 0.0
 
 
 # -------------------------------------------------------------- constraints

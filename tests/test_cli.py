@@ -408,6 +408,21 @@ def test_bode_integral_refuses_nan_quadrature(capsys):
     assert err.startswith("error: quadrature did not converge")
 
 
+@pytest.mark.parametrize(
+    "loop_args",
+    [
+        ["--domain", "z", "--loop", "inner", "--alpha", "1", "--gdob", "3000", "--ts", "1e-3"],
+        ["--domain", "s", "--loop", "outer", "--alpha", "0.01", "--gdob", "50",
+         "--kp", "1000", "--kd", "250"],
+    ],
+    ids=["inner-z", "outer-s"],
+)
+def test_bode_integral_refuses_unstable_closed_loop(capsys, loop_args):
+    # both printed a predicted value the theorem does not give and exited 0
+    rc, out, err = _run(capsys, ["bode-integral", *loop_args])
+    assert (rc, out, err) == (1, "", "error: prediction undefined for unstable closed loop\n")
+
+
 # ---------------------------------------------------------------- rootlocus
 
 

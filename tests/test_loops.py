@@ -344,7 +344,13 @@ def test_array_evaluation_matches_scalar_path(x, ts, alpha, g, gv, gains):
             om = np.logspace(-2.0, 6.0, 257)
         _, s_vals, t_vals = ls.st_response(om)
         for got, tf in ((s_vals, ls.S), (t_vals, ls.T)):
-            want = np.array([tf.at_frequency(float(w)) for w in om])
+            pts = [
+                contour_points(float(w) / tf.nyquist * math.pi, True)
+                if tf.is_discrete
+                else 1j * float(w)
+                for w in om
+            ]
+            want = np.array([tf.num(p) / tf.den(p) for p in pts])
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
         _assert_s_plus_t_is_one(s_vals, t_vals)
 

@@ -16,6 +16,7 @@ from doblab.lti import (
     RationalTransferFunction,
     Stability,
     classify_roots,
+    contour_points,
     is_stable,
     poly_roots,
     stable_rows,
@@ -180,6 +181,17 @@ def test_eval_refuses_pole():
         tf_eval(s_i(0.5), 0.5)
 
 
+def test_at_frequency_refuses_only_an_exact_pole():
+    # tf_eval refuses within POLE_EVAL_TOL of a pole; the factored form is
+    # exact there, so at_frequency gives S = -2/(-1e-12) next to the pole
+    nyq = math.pi / 1e-3
+    with pytest.raises(ValueError, match=r"evaluation at pole: omega=3141\.59"):
+        s_i(2.0).at_frequency(nyq)
+    with pytest.raises(ValueError, match="evaluation at pole"):
+        tf_eval(s_i(2.0 - 1e-12), -1.0)
+    assert s_i(2.0 - 1e-12).at_frequency(nyq) == pytest.approx(2e12, rel=1e-3)
+
+
 def test_connect_feedback_builds_complementary():
     # closing the loop is LoopSet.from_open_loop: T = L/(1 + L)
     x = 0.5
@@ -339,11 +351,12 @@ def test_freq_response_pole_on_grid_names_omega():
 
 def test_freq_response_phase_and_magnitude_consistency():
     # the magnitude and phase the freq subcommand prints, point by point,
-    # against the scalar evaluator
+    # against Horner on the stored coefficients
     ls = _inner_loop(0.5)
     omega = np.linspace(10.0, 3000.0, 64)
     _, _, values = ls.st_response(omega)
     for w, v in zip(omega, values):
-        ref = ls.T.at_frequency(float(w))
+        p = contour_points(float(w) / ls.T.nyquist * math.pi, True)
+        ref = ls.T.num(p) / ls.T.den(p)
         assert abs(v) == pytest.approx(abs(ref), rel=1e-13)
         assert cmath.phase(v) == pytest.approx(cmath.phase(ref), rel=1e-13, abs=1e-15)
