@@ -1,12 +1,11 @@
 """Frequency-domain analysis: peaks, sensitivity integrals, design constraints.
 
-The sensitivity integral is evaluated by honest quadrature rather than by the
-residue bookkeeping that proves the underlying theorem, so the reported value
-and the theorem's prediction stay independent of each other.  Log-magnitudes
-are computed from root factorizations (sum of ln|p - r_i| terms): evaluating
-the expanded characteristic polynomial by Horner loses every significant
-digit near contour zeros, while the factored form keeps the absolute error
-near machine precision everywhere on the contour.
+The sensitivity integral is evaluated by quadrature (in s, up to twice the
+largest root, and in closed form beyond), not by the residue bookkeeping that
+proves the theorem, so the value and the prediction stay independent.
+Log-magnitudes come from root factorizations (sums of ln|p - r_i|): Horner on
+the expanded characteristic polynomial loses every digit near contour zeros,
+while the factored form keeps the absolute error near machine precision.
 """
 
 from __future__ import annotations
@@ -112,7 +111,10 @@ def _contour_positions(roots, discrete: bool) -> list[tuple[float, float]]:
 
 
 def _contour_end(roots, discrete: bool) -> float:
-    """Far end of the contour: the angle pi in z, 1e3 * max(1, largest |root|) in s."""
+    """Far end of the peak search only: the angle pi in z, 1e3 * max(1, largest |root|) in s.
+
+    The s end clears the maxima of |S|: up to 18.5 times the largest root on seeded loops.
+    """
     return math.pi if discrete else 1e3 * max([1.0] + [abs(r) for r in roots])
 
 
@@ -249,6 +251,18 @@ def _integrate_log_mag(f, a: float, b: float, cuts):
     return total, err
 
 
+def _log_tail(roots, c: float) -> float:
+    """Sum over the roots r = a + jb of the integral of ln|jw - r| - ln w over [c, inf).
+
+    Each gives c*(x*atan(x/(1 - y)) - (1 - y)/2*log1p(x^2 + y^2 - 2y)), with
+    x = |a|/c and y = b/c < 1, less b*(ln c - 1 - ln inf): conjugates cancel it.
+    """
+    total = 0.0
+    for x, y in ((abs(r.real) / c, r.imag / c) for r in roots):
+        total += x * math.atan(x / (1 - y)) - (1 - y) / 2 * math.log1p(x * x + y * y - 2 * y)
+    return c * total
+
+
 @dataclass(frozen=True)
 class BodeIntegralReport:
     """Computed sensitivity integral next to its theorem prediction.
@@ -262,8 +276,8 @@ class BodeIntegralReport:
     predicted         pi*rhp_pole_sum - (pi/2)*limit_term  (continuous)
                       2*pi*(rhp_pole_sum - limit_term)     (discrete)
     quadrature_error  error estimate of value: the sum of QUADPACK's estimates
-                      over the pieces, plus, in s, the tail-model term and the
-                      rounding of the integrand that the tail fit amplifies
+                      over the pieces, plus, in s, the rounding of the
+                      integrand over the integrated range
     """
 
     value: float
@@ -286,19 +300,20 @@ def bode_integral(loop: RationalTransferFunction) -> BodeIntegralReport:
     S.factors, the ones the peak search and freq read.  The theorem needs a
     stable closed loop, so an UNSTABLE verdict of classify_roots on S's
     poles is refused; a MARGINAL one, inside the BOUNDARY_TOL band, is not.
-    _integrate_log_mag integrates _factored_log_mag of the roots from 0 to
-    _contour_end, cut at each root's position along the contour and that
-    position plus and minus its distance to it; QUADPACK's extrapolation
-    integrates the log singularity of a root on the contour at the end of a
-    piece.  An error estimate that is not at most its ceiling (NaN included)
-    raises before the limit term is formed.
+    _integrate_log_mag integrates _factored_log_mag of the roots, cut at
+    each root's position along the contour and that position plus and minus
+    its distance to it; QUADPACK's extrapolation integrates the log
+    singularity of a root on the contour at the end of a piece.  An error
+    estimate that is not at most its ceiling (NaN included) raises before the
+    limit term is formed.
 
     The domains differ only where the theorem does.  In z (Sung & Hara) the
     integral over the full circle, in omega*ts units, is twice the half
     circle's.  In s (Freudenberg & Looze) the loop needs relative degree
-    >= 1, each root also cuts at its magnitude, a fitted tail beyond the end
-    is added, and the ceiling scales with max(1, largest root magnitude).
-    Each domain keeps its own rhp_pole_sum, limit_term and predicted.
+    >= 1, so S has unit lead and as many zeros as poles: quadrature stops at
+    c = 2*max(1, largest |root|), which must be finite, _log_tail adds the
+    rest, the integrand's rounding joins the error, and the ceiling scales
+    with c.  Each domain keeps its own rhp_pole_sum, limit_term and predicted.
     """
     S = LoopSet.from_open_loop(loop).S
     discrete = loop.is_discrete
@@ -312,48 +327,32 @@ def bode_integral(loop: RationalTransferFunction) -> BodeIntegralReport:
     if classify_roots(S.poles(), S.ts).stability is Stability.UNSTABLE:
         raise ValueError("prediction undefined for unstable closed loop")
     num_roots, den_roots = S.factors
-    # in s, S is biproper with unit high-frequency gain (its denominator
-    # shares the leading coefficient of L's when rel_deg >= 1)
     f = _factored_log_mag(lead_log, num_roots, den_roots, discrete)
     roots = (*num_roots, *den_roots)
-    # in s each root also cuts at its corner frequency |r|; in z the repeated
-    # pos is dropped, as _integrate_log_mag takes the cuts as a set
-    cuts = [
-        x
-        for (pos, dist), r in zip(_contour_positions(roots, discrete), roots)
-        for x in (pos - dist, pos, pos + dist, pos if discrete else abs(r))
-    ]
-    end = _contour_end(roots, discrete)
-    value, err = _integrate_log_mag(f, 0.0, end, cuts)
-
+    # each root cuts at its position along the contour and its distance either side
+    cuts = [x for p, d in _contour_positions(roots, discrete) for x in (p - d, p, p + d)]
     if discrete:
+        value, err = _integrate_log_mag(f, 0.0, math.pi, cuts)
         # the integrand is even in theta, so the full-circle integral is
         # twice the half-range one; the result is in omega*ts units
         value, err, ceiling = 2.0 * value, 2.0 * err, QUAD_ERROR_CEILING
     else:
-        # Beyond the end c, ln|S| ~ A/w^2 + B/w^4 (odd powers are
-        # imaginary for real coefficients); fit a = A/c^2 and b = B/c^4 at
-        # w = c and 2c and integrate the model to infinity.  The fit
-        # multiplies the rounding of f, which is a few ulp of each log term,
-        # by up to 17*c/3.
-        f1 = f(end)
-        f2 = f(2.0 * end)
-        a_fit = (16.0 * f2 - f1) / 3.0
-        b_fit = f1 - a_fit
-        value += end * (a_fit + b_fit / 3.0)
-        rounding = 2.0 * math.ulp(1.0) * (
-            abs(lead_log) + sum(abs(math.log(abs(2j * end - r))) + 1.0 for r in roots)
-        )
-        err += end * abs(b_fit) / 3.0 + 17.0 * end / 3.0 * rounding + 1e-10
-        # the integral and its rounding grow with the roots, so the ceiling
-        # does too
-        ceiling = QUAD_ERROR_CEILING * (end / 1e3)
+        # c clears every cut (pos + dist <= sqrt(2)*|r|) and every |Im r|
+        scale = max([1.0] + [abs(r) for r in roots])
+        c = 2.0 * scale
+        if not math.isfinite(c):
+            raise RuntimeError("quadrature did not converge: the range end overflows")
+        value, err = _integrate_log_mag(f, 0.0, c, cuts)
+        value += _log_tail(num_roots, c) - _log_tail(den_roots, c)
+        # f rounds by a few ulp of each log term over [0, c]
+        rounding = sum(abs(math.log(abs(1j * c - r))) + 1.0 for r in roots)
+        err += c * 2.0 * math.ulp(1.0) * rounding
+        ceiling = QUAD_ERROR_CEILING * scale
     if not err <= ceiling:
         raise RuntimeError(f"quadrature did not converge: achieved +-{err:.3g}")
 
     if discrete:
-        unstable = _unstable([1.0 + r for r in num_roots], loop.ts)
-        rhp = sum(math.log(abs(z)) for z in unstable)
+        rhp = sum(math.log(abs(z)) for z in _unstable([1.0 + r for r in num_roots], loop.ts))
         l_inf = loop.num.lead / loop.den.lead if rel_deg == 0 else 0.0
         mag = abs(1.0 + l_inf)
         if mag <= 1e-300:

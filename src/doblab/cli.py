@@ -373,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

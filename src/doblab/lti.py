@@ -170,31 +170,32 @@ class RationalTransferFunction:
         the polynomial itself removes them.  In a sampled system, where a
         polynomial vanishes at Nyquist, u = -2, to rounding
         (|p(-2)| <= ulp(1)*sum|c_k|*2^k: the ZoH zero, which float block
-        products move by a few ulp), its root nearest -2 is put there.
+        products move by a few ulp), its root nearest -2 is put there.  The
+        poles are cached on their own, so poles() and is_stable solve no zeros.
         """
+        return self._solve(self.num), self._poles
 
-        def solve(p: Polynomial) -> tuple[complex, ...]:
-            if p.degree < 1:
-                return ()
-            slope = Polynomial(tuple(c * k for c, k in zip(p.coeffs, range(p.degree, 0, -1))))
-            roots = []
-            for r in poly_roots(p):
-                res, d = p(r), slope(r)
-                if d != 0.0 and abs(p(r - res / d)) < abs(res):
-                    r -= res / d
-                roots.append(r)
-            if self.is_discrete and (
-                abs(p(-2.0)) <= math.ulp(1.0) * np.polyval(np.abs(p.coeffs), 2.0)
-            ):
-                roots[min(range(len(roots)), key=lambda i: abs(roots[i] + 2.0))] = complex(-2.0)
-            return tuple(roots)
+    @cached_property
+    def _poles(self) -> tuple[complex, ...]:
+        return self._solve(self.den)
 
-        return solve(self.num), solve(self.den)
+    def _solve(self, p: Polynomial) -> tuple[complex, ...]:
+        if p.degree < 1:
+            return ()
+        slope = Polynomial(tuple(c * k for c, k in zip(p.coeffs, range(p.degree, 0, -1))))
+        roots = []
+        for r in poly_roots(p):
+            res, d = p(r), slope(r)
+            if d != 0.0 and abs(p(r - res / d)) < abs(res):
+                r -= res / d
+            roots.append(r)
+        if self.is_discrete and abs(p(-2.0)) <= math.ulp(1.0) * np.polyval(np.abs(p.coeffs), 2.0):
+            roots[min(range(len(roots)), key=lambda i: abs(roots[i] + 2.0))] = complex(-2.0)
+        return tuple(roots)
 
     def poles(self) -> tuple[complex, ...]:
         """Roots of the denominator: s, or z = 1 + u for a sampled system."""
-        poles = self.factors[1]
-        return poles if self.ts is None else tuple(1.0 + u for u in poles)
+        return self._poles if self.ts is None else tuple(1.0 + u for u in self._poles)
 
     def at_frequency(self, omega: float) -> complex:
         """Evaluate on the frequency contour: s = j*omega or z = exp(j*omega*ts).
@@ -301,7 +302,7 @@ def stable_rows(roots: np.ndarray, ts: float | None) -> np.ndarray:
 
 
 def is_stable(tf: RationalTransferFunction) -> StabilityVerdict:
-    """Classify by the poles of tf.factors.
+    """Classify by the poles of tf.factors, solving only the denominator.
 
     Continuous: left half plane; discrete: open unit disk.  Poles within
     BOUNDARY_TOL of the boundary give Marginal.  The function requires a

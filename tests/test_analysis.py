@@ -346,6 +346,11 @@ def _assert_within_quadrature_error(ls: LoopSet) -> None:
     r = bode_integral(ls.L)
     exact = _exact_integral(ls.L)
     assert abs(r.value - exact) <= r.quadrature_error, (r, exact)
+    if not ls.L.is_discrete:
+        # the tail beyond twice the largest root is exact, so only the
+        # quadrature's own rounding is left
+        scale = max([1.0] + [abs(q) for q in (*ls.S.factors[0], *ls.S.factors[1])])
+        assert abs(r.value - exact) <= 1e-13 * scale, (r, exact, scale)
 
 
 @pytest.mark.parametrize("builder", ["inner-s", "inner-z", "outer-s", "outer-z"])
@@ -390,6 +395,17 @@ def test_bode_integral_against_exact_integral_wide_ranges(builder):
 )
 def test_bode_integral_against_exact_integral_hard_cases(ls):
     _assert_within_quadrature_error(ls)
+
+
+@pytest.mark.parametrize("builder", ["inner-s", "outer-s"])
+def test_continuous_factors_are_conjugate_symmetric(builder):
+    # the closed-form tail drops each root's b*(ln c - 1 - ln inf), which
+    # cancels only over exact conjugate pairs
+    for ls in _random_stable_loops(builder, 250, seed=31):
+        for roots in ls.S.factors:
+            assert sorted(roots, key=lambda r: (r.real, r.imag)) == sorted(
+                (r.conjugate() for r in roots), key=lambda r: (r.real, r.imag)
+            ), roots
 
 
 # ------------------------------------------------------ peaks against oracles
@@ -472,6 +488,20 @@ def test_sensitivity_peak_against_dense_grid_and_mpmath(builder):
                 assert abs(peak - want) <= 1e-12 * want, (tf, omega, peak)
             else:
                 assert peak == abs(tf.num.lead / tf.den.lead)
+
+
+def test_continuous_peak_far_beyond_the_roots():
+    # |S| peaks at about 17 times the largest root of S: a far end of ten
+    # times the largest root missed it and reported (inf, 1.0)
+    ls = outer_loop_ct(
+        DObParams(alpha=0.45492483763404273, g_dob=798.9754635529805),
+        OuterGains(kp=1.0745196447105028, kd=434.8875957723461),
+    )
+    omega, peak = sensitivity_peak(ls.S)
+    largest = max(abs(r) for r in (*ls.S.factors[0], *ls.S.factors[1]))
+    assert math.isfinite(omega) and omega > 10.0 * largest, (omega, largest)
+    assert abs(peak - _mp_magnitude(ls.S, omega)) <= 1e-12
+    assert abs(peak - mpmath.mpf("1.0000056955063127")) <= 1e-12
 
 
 def test_sensitivity_peak_refines_every_local_maximum():
@@ -593,7 +623,13 @@ def test_one_solve_per_polynomial(monkeypatch):
     assert is_stable(S).is_stable
     sensitivity_peak(S)
     S.at_frequency(100.0)
-    assert calls == [S.num, S.den]
+    assert calls == [S.den, S.num]
+
+    # a bare verdict solves the denominator alone
+    calls.clear()
+    S = outer_loop_dt(DObParams(alpha=1.0, g_dob=500.0, ts=TS), SWEEP_GAINS).S
+    assert is_stable(S).is_stable
+    assert calls == [S.den]
 
 
 def test_outer_dt_nyquist_zero_is_exact():

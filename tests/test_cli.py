@@ -370,17 +370,17 @@ def test_bode_integral_balances_with_large_roots(capsys, flags):
 
 
 def test_bode_integral_balances_with_huge_gains(capsys):
-    # the cutoff is about 1e303 rad/s, and the tail fit needs no power of it
-    rc, out, err = _run(
-        capsys,
-        [
-            "bode-integral", "--domain", "s", "--loop", "outer",
-            "--alpha", "1", "--gdob", "1", "--kp", "1e300", "--kd", "1e300",
-        ],
-    )
-    assert rc == 0 and err == ""
-    values = {k: float(v) for k, v in (line.split(":") for line in out.splitlines())}
-    assert abs(values["value"] - values["predicted"]) <= values["quadrature_error"]
+    # roots of S up to 1.5e307 rad/s: the quadrature ends at twice the
+    # largest, and the closed-form tail needs no power of it
+    for flags in (
+        ["--loop", "outer", "--alpha", "1", "--gdob", "1", "--kp", "1e300", "--kd", "1e300"],
+        ["--loop", "inner", "--alpha", "1", "--gdob", "1e305"],
+        ["--loop", "inner", "--alpha", "1", "--gdob", "1.5e307"],
+    ):
+        rc, out, err = _run(capsys, ["bode-integral", "--domain", "s", *flags])
+        assert rc == 0 and err == "", flags
+        values = {k: float(v) for k, v in (line.split(":") for line in out.splitlines())}
+        assert abs(values["value"] - values["predicted"]) <= values["quadrature_error"], flags
 
 
 def test_bode_integral_discrete_balances(capsys):
@@ -398,14 +398,33 @@ def test_bode_integral_discrete_balances(capsys):
 
 
 def test_bode_integral_refuses_nan_quadrature(capsys):
-    # with g_dob 1e305 the end of the integral is 1e308 rad/s, the tail fit's
-    # second point overflows, and a NaN error estimate must not pass the ceiling
+    # with g_dob 8e307 the integral ends at 1.6e308 rad/s, where the
+    # quadrature's own arithmetic overflows, and a NaN error estimate must
+    # not pass the ceiling
     rc, out, err = _run(
         capsys,
-        ["bode-integral", "--domain", "s", "--loop", "inner", "--alpha", "1", "--gdob", "1e305"],
+        ["bode-integral", "--domain", "s", "--loop", "inner", "--alpha", "1", "--gdob", "8e307"],
     )
     assert rc == 1 and out == ""
     assert err.startswith("error: quadrature did not converge")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--alpha", "1", "--gdob", "1.7e308"],
+        ["--alpha", "1.7e308", "--gdob", "1"],
+        ["--alpha", "1", "--gdob", "1", "--gv", "1.7e308"],
+        ["--alpha", "1", "--gdob", "8.5e307"],
+    ],
+    ids=["gdob", "alpha", "gv", "gdob-8.5e307"],
+)
+def test_bode_integral_refuses_overflowing_roots(capsys, flags):
+    # the first three raised a bare OverflowError and now overflow the end of
+    # the range; the last overflows |p - r| inside the integrand
+    rc, out, err = _run(capsys, ["bode-integral", "--domain", "s", "--loop", "inner", *flags])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
