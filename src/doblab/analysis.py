@@ -1,8 +1,9 @@
 """Frequency-domain analysis: peaks, sensitivity integrals, design constraints.
 
-The sensitivity integral is evaluated by quadrature (in s, up to twice the
-largest root, and in closed form beyond), not by the residue bookkeeping that
-proves the theorem, so the value and the prediction stay independent.
+The sensitivity integral is evaluated by tanh-sinh quadrature in numpy (in
+s, up to twice the largest root, and in closed form beyond), not by the
+residue bookkeeping that proves the theorem, so the value and the prediction
+stay independent.
 Log-magnitudes come from root factorizations (sums of ln|p - r_i|): Horner on
 the expanded characteristic polynomial loses every digit near contour zeros,
 while the factored form keeps the absolute error near machine precision.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad  # noqa: F401  (uncalled; bench/ still times and patches it)
 
 from .lti import (
     RationalTransferFunction,
@@ -211,7 +212,11 @@ def nyquist_t_magnitude(gain_product: float) -> float:
 
 
 def _factored_log_mag(lead_log: float, plus_roots, minus_roots, discrete: bool):
-    """x -> lead_log + sum ln|p - plus| - sum ln|p - minus| at p = contour_points(x)."""
+    """x -> lead_log + sum ln|p - plus| - sum ln|p - minus| at p = contour_points(x).
+
+    The scalar form, for the peak's golden-section refinement;
+    _integrate_log_mag evaluates the same sum over arrays of nodes.
+    """
 
     def f(x: float) -> float:
         pt = contour_points(x, discrete)
@@ -227,28 +232,88 @@ def _factored_log_mag(lead_log: float, plus_roots, minus_roots, discrete: bool):
     return f
 
 
-def _integrate_log_mag(f, a: float, b: float, cuts):
-    """Integral of f over [a, b] and its error, one QUADPACK quad per piece.
+def _tanh_sinh_levels() -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
+    """(step h, upper-end mask, signed offset, weight) of the nodes new at each level.
 
-    The pieces run between the cuts inside (a, b), and no piece reaches past
-    ten times its left end.  QUADPACK's QAGS extrapolates a log singularity
-    at the end of a piece, so a contour root needs nothing but a cut at its
-    position.
+    Level k = 3..8 runs t over [-3.2, 3.2] in steps h = 2^-k, and after the
+    first level only the odd multiples of h are new.  With u = (pi/2)sinh t a
+    node lies half*2/(1 + e^(2|u|)) from the end of its piece that t's sign
+    picks, a distance formed without subtracting from 1, so no node lands on a
+    root at that end; its weight is (pi/2)cosh t / cosh^2 u.
+    """
+    levels = []
+    for k in range(3, 9):
+        j = np.arange(-int(3.2 * 2**k), int(3.2 * 2**k) + 1)
+        t = (j if k == 3 else j[j % 2 == 1]) / 2.0**k
+        u = 0.5 * math.pi * np.sinh(t)
+        dist = 2.0 / (1.0 + np.exp(2.0 * np.abs(u)))
+        weight = 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
+        levels.append((2.0**-k, t > 0.0, np.where(t > 0.0, -dist, dist), weight))
+    return levels
+
+
+_TANH_SINH = _tanh_sinh_levels()
+
+
+def _pieces(a: float, b: float, cuts) -> np.ndarray:
+    """The ends (lo, hi) of the pieces of [a, b], as two rows.
+
+    The pieces run between the cuts inside (a, b), none reaches past ten
+    times its left end, and one narrower than 1e-15*max(1, |hi|) is dropped.
     """
     pts = [a]
     for x in sorted({*(x for x in cuts if a < x < b), b}):
         while 0.0 < pts[-1] and 10.0 * pts[-1] < x:
             pts.append(10.0 * pts[-1])
         pts.append(x)
-    total = 0.0
-    err = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            continue
-        out = quad(f, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=200, full_output=1)
-        total += out[0]
-        err += out[1]
-    return total, err
+    return np.array(
+        [(x0, x1) for x0, x1 in zip(pts[:-1], pts[1:]) if x1 - x0 > 1e-15 * max(1.0, abs(x1))]
+    ).reshape(-1, 2).T
+
+
+def _integrate_log_mag(lead_log: float, plus_roots, minus_roots, discrete: bool, lo, hi):
+    """(integral, error, evaluations) of the factored log-magnitude over the pieces [lo, hi].
+
+    The integrand is _factored_log_mag's, and the rule is tanh-sinh
+    (Takahasi & Mori).  At each level the new nodes of every unconverged
+    piece form one (pieces x nodes) array, and the log terms are added into
+    it root by root.  A piece stops when two levels differ by at most 32 eps
+    times the weighted sum of its terms' sizes, |lead_log| + sum |ln|p - r||
+    + 1, its rounding floor; its error is that difference plus the floor,
+    after level 8 too.  Sums are formed in units of each piece's half-width
+    and scaled last, so a range near the largest double does not overflow
+    while its nodes are weighted.  In z, a node's distance to pi is formed
+    from the nearer end of its piece, like its angle.
+    """
+    half = 0.5 * (hi - lo)
+    total = err = est = size = 0.0
+    evaluations = 0
+    for level, (h, upper, offset, weight) in enumerate(_TANH_SINH):
+        end = np.where(upper, hi[:, None], lo[:, None])
+        step = half[:, None] * offset
+        x = end + step
+        p = contour_points(x, discrete, (math.pi - end) - step if discrete else None)
+        f = np.full(x.shape, lead_log)
+        mag = np.full(x.shape, abs(lead_log) + 1.0)
+        evaluations += x.size
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite error is refused
+            for roots, sign in ((plus_roots, 1.0), (minus_roots, -1.0)):
+                for r in roots:
+                    term = np.log(np.maximum(np.abs(p - r), 1e-300))
+                    f += sign * term
+                    mag += np.abs(term)
+            prev, est, size = est, h * (f @ weight) + 0.5 * est, h * (mag @ weight) + 0.5 * size
+            if level == 0:
+                continue
+            diff = np.abs(est - prev)
+            floor = 32.0 * math.ulp(1.0) * size
+            done = (diff <= floor) | (level == len(_TANH_SINH) - 1)
+            total += float(np.sum(half[done] * est[done]))
+            err += float(np.sum(half[done] * (diff[done] + floor[done])))
+        lo, hi, half, est, size = (v[~done] for v in (lo, hi, half, est, size))
+        if not lo.size:
+            break
+    return total, err, evaluations
 
 
 def _log_tail(roots, c: float) -> float:
@@ -275,9 +340,10 @@ class BodeIntegralReport:
     limit_term        continuous: lim s*L(s); discrete: ln|1 + L(inf)|
     predicted         pi*rhp_pole_sum - (pi/2)*limit_term  (continuous)
                       2*pi*(rhp_pole_sum - limit_term)     (discrete)
-    quadrature_error  error estimate of value: the sum of QUADPACK's estimates
-                      over the pieces, plus, in s, the rounding of the
-                      integrand over the integrated range
+    quadrature_error  error estimate of value: over the pieces, the difference
+                      of the last two tanh-sinh levels plus the rounding
+                      floor of the integrand's terms (_integrate_log_mag)
+    evaluations       number of integrand points the quadrature evaluated
     """
 
     value: float
@@ -285,6 +351,7 @@ class BodeIntegralReport:
     limit_term: float
     predicted: float
     quadrature_error: float
+    evaluations: int
 
 
 def _unstable(roots, ts: float | None) -> list[complex]:
@@ -300,10 +367,11 @@ def bode_integral(loop: RationalTransferFunction) -> BodeIntegralReport:
     S.factors, the ones the peak search and freq read.  The theorem needs a
     stable closed loop, so an UNSTABLE verdict of classify_roots on S's
     poles is refused; a MARGINAL one, inside the BOUNDARY_TOL band, is not.
-    _integrate_log_mag integrates _factored_log_mag of the roots, cut at
-    each root's position along the contour and that position plus and minus
-    its distance to it; QUADPACK's extrapolation integrates the log
-    singularity of a root on the contour at the end of a piece.  An error
+    _integrate_log_mag integrates the factored ln|S| of the roots by
+    tanh-sinh, cut at each root's position along the contour and that
+    position plus and minus its distance to it; the rule's nodes crowd the
+    ends of each piece without reaching them, so the log singularity of a
+    root on the contour at the end of a piece needs nothing more.  An error
     estimate that is not at most its ceiling (NaN included) raises before the
     limit term is formed.
 
@@ -311,8 +379,8 @@ def bode_integral(loop: RationalTransferFunction) -> BodeIntegralReport:
     integral over the full circle, in omega*ts units, is twice the half
     circle's.  In s (Freudenberg & Looze) the loop needs relative degree
     >= 1, so S has unit lead and as many zeros as poles: quadrature stops at
-    c = 2*max(1, largest |root|), which must be finite, _log_tail adds the
-    rest, the integrand's rounding joins the error, and the ceiling scales
+    c = 2*max(1, largest |root|), and every |p - r| on [0, c], at most
+    1.5*c, must be finite; _log_tail adds the rest, and the ceiling scales
     with c.  Each domain keeps its own rhp_pole_sum, limit_term and predicted.
     """
     S = LoopSet.from_open_loop(loop).S
@@ -327,12 +395,13 @@ def bode_integral(loop: RationalTransferFunction) -> BodeIntegralReport:
     if classify_roots(S.poles(), S.ts).stability is Stability.UNSTABLE:
         raise ValueError("prediction undefined for unstable closed loop")
     num_roots, den_roots = S.factors
-    f = _factored_log_mag(lead_log, num_roots, den_roots, discrete)
     roots = (*num_roots, *den_roots)
     # each root cuts at its position along the contour and its distance either side
     cuts = [x for p, d in _contour_positions(roots, discrete) for x in (p - d, p, p + d)]
     if discrete:
-        value, err = _integrate_log_mag(f, 0.0, math.pi, cuts)
+        value, err, evaluations = _integrate_log_mag(
+            lead_log, num_roots, den_roots, True, *_pieces(0.0, math.pi, cuts)
+        )
         # the integrand is even in theta, so the full-circle integral is
         # twice the half-range one; the result is in omega*ts units
         value, err, ceiling = 2.0 * value, 2.0 * err, QUAD_ERROR_CEILING
@@ -340,13 +409,13 @@ def bode_integral(loop: RationalTransferFunction) -> BodeIntegralReport:
         # c clears every cut (pos + dist <= sqrt(2)*|r|) and every |Im r|
         scale = max([1.0] + [abs(r) for r in roots])
         c = 2.0 * scale
-        if not math.isfinite(c):
+        # every |p - r| on [0, c] is at most c + scale, which must be finite
+        if not math.isfinite(3.0 * scale):
             raise RuntimeError("quadrature did not converge: the range end overflows")
-        value, err = _integrate_log_mag(f, 0.0, c, cuts)
+        value, err, evaluations = _integrate_log_mag(
+            lead_log, num_roots, den_roots, False, *_pieces(0.0, c, cuts)
+        )
         value += _log_tail(num_roots, c) - _log_tail(den_roots, c)
-        # f rounds by a few ulp of each log term over [0, c]
-        rounding = sum(abs(math.log(abs(1j * c - r))) + 1.0 for r in roots)
-        err += c * 2.0 * math.ulp(1.0) * rounding
         ceiling = QUAD_ERROR_CEILING * scale
     if not err <= ceiling:
         raise RuntimeError(f"quadrature did not converge: achieved +-{err:.3g}")
@@ -363,7 +432,7 @@ def bode_integral(loop: RationalTransferFunction) -> BodeIntegralReport:
         rhp = sum(r.real for r in _unstable(num_roots, None))
         limit_term = loop.num.lead / loop.den.lead if rel_deg == 1 else 0.0
         predicted = math.pi * rhp - 0.5 * math.pi * limit_term
-    return BodeIntegralReport(value, rhp, limit_term, predicted, err)
+    return BodeIntegralReport(value, rhp, limit_term, predicted, err, evaluations)
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,10 @@ class LoopSet:
 
         The open loop's denominator d and numerator n are each evaluated in
         factored form (L.factors, factored_values), and S = d/(d+n),
-        T = n/(d+n), so S + T = 1 holds to a few ulp; an exactly zero d or n
-        gives +0, of phase 0, and where n is exactly zero S is exactly 1.  A
+        T = n/(d+n), so S + T = 1 holds to a few ulp.  Both are first scaled
+        at each point by the same power of two, exactly, so a subnormal d + n
+        does not overflow the division.  An exactly zero d or n gives +0, of
+        phase 0, and the other of S and T is then exactly 1.  A
         sampled grid runs at the angles (omega/nyquist)*pi, so Nyquist is
         u = -2 exactly, where L.factors puts the ZoH zero.
         A grid is refused where |d + n| <= POLE_EVAL_TOL*(|d| + |n|), where S
@@ -99,12 +101,17 @@ class LoopSet:
         zeros, poles = L.factors
         d = factored_values(L.den.lead, poles, pts)
         n = factored_values(L.num.lead, zeros, pts)
+        # scale each point's d and n by the power of two that brings the larger
+        # into [0.5, 1): exact, and d + n can no longer be subnormal
+        e = -np.frexp(np.maximum(np.abs(d), np.abs(n)))[1]
+        for v in (d, n):  # part by part, in place, so signed zeros survive
+            v.real, v.imag = np.ldexp(v.real, e), np.ldexp(v.imag, e)
         w = d + n
         hit = np.flatnonzero(np.abs(w) <= POLE_EVAL_TOL * (np.abs(d) + np.abs(n)))
         if hit.size:
             raise ValueError(f"evaluation at pole: omega={float(om[hit[0]])!r} rad/s")
         s, t = (np.where(v == 0.0, 0.0, v / w) for v in (d, n))
-        return om, np.where(n == 0.0, 1.0, s), t
+        return om, np.where(n == 0.0, 1.0, s), np.where(d == 0.0, 1.0, t)
 
 
 def inner_loop_ct(p: DObParams) -> LoopSet:

@@ -330,17 +330,20 @@ def validate_grid(tf: RationalTransferFunction, omega) -> np.ndarray:
     return om
 
 
-def contour_points(x, discrete: bool):
+def contour_points(x, discrete: bool, rest=None):
     """u = e^(j*x) - 1 at the angle x if discrete, else j*x; float or array.
 
     The real part -2 sin^2(x/2) keeps u accurate near DC, and past pi/2 the
-    imaginary part is sin(pi - x), so the angle pi gives u = -2 exactly.
+    imaginary part is sin(pi - x), so the angle pi gives u = -2 exactly.  An
+    array of angles may come with rest = pi - x, formed more accurately than
+    from the rounded x: the Bode quadrature's nodes near pi need it.
     """
     if not discrete:
         return 1j * x
     if isinstance(x, float):
         return complex(-2.0 * math.sin(0.5 * x) ** 2, math.sin(min(x, math.pi - x)))
-    return -2.0 * np.sin(0.5 * x) ** 2 + 1j * np.sin(np.minimum(x, math.pi - x))
+    rest = math.pi - x if rest is None else rest
+    return -2.0 * np.sin(0.5 * x) ** 2 + 1j * np.sin(np.minimum(x, rest))
 
 
 def factored_values(lead: float, roots, points: np.ndarray) -> np.ndarray:

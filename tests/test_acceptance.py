@@ -28,7 +28,7 @@ from doblab.discretize import (
     zoh_double_integrator,
 )
 from doblab.loops import inner_loop_ct, inner_loop_dt, outer_loop_ct, outer_loop_dt
-from doblab.lti import Stability, is_stable, tf_eval
+from doblab.lti import Stability, is_stable
 from doblab.params import DObParams, OuterGains
 from doblab.sim import (
     PlantParams,

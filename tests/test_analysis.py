@@ -12,6 +12,9 @@ from doblab import lti
 from doblab.analysis import (
     OuterGainAudit,
     PeakSpec,
+    _contour_positions,
+    _integrate_log_mag,
+    _pieces,
     audit_outer_gain_condition,
     bode_integral,
     check_constraints,
@@ -395,6 +398,46 @@ def test_bode_integral_against_exact_integral_wide_ranges(builder):
 )
 def test_bode_integral_against_exact_integral_hard_cases(ls):
     _assert_within_quadrature_error(ls)
+
+
+def _cuts(roots, discrete):
+    """The cuts bode_integral puts at each root's position and its distance either side."""
+    return [x for p, d in _contour_positions(roots, discrete) for x in (p - d, p, p + d)]
+
+
+@pytest.mark.parametrize(
+    "roots, discrete, b, exact",
+    [
+        # int_0^1 ln x dx, a log singularity at the lower end of the range
+        ((0j,), False, 1.0, -1.0),
+        # int_0^pi ln|e^jt - 1| and ln|e^jt + 1|: a root on the contour at
+        # u = 0, the lower end, and at u = -2, the upper end
+        ((0j,), True, math.pi, 0.0),
+        ((-2 + 0j,), True, math.pi, 0.0),
+        # int_0^pi ln|e^jt - r| = pi ln max(1, |r|) for real r (Jensen)
+        *(
+            ((complex(r - 1.0),), True, math.pi, math.pi * math.log(max(1.0, abs(r))))
+            for r in (0.5, -0.5, 1.0 - 1e-9, 1.0 + 1e-9, -1.0 + 1e-9, -1.0 - 1e-9, 3.0, -7.0)
+        ),
+    ],
+    ids=["ln-x", "root-at-0", "root-at-pi"]
+    + [f"r={r}" for r in ("0.5", "-0.5", "1-1e-9", "1+1e-9", "-1+1e-9", "-1-1e-9", "3", "-7")],
+)
+def test_integrate_log_mag_against_closed_forms(roots, discrete, b, exact):
+    lo, hi = _pieces(0.0, b, _cuts(roots, discrete))
+    value, err, evaluations = _integrate_log_mag(0.0, roots, (), discrete, lo, hi)
+    assert abs(value - exact) <= err <= 1e-13, (value, err)
+    assert 0 < evaluations <= 1639 * len(lo)
+
+
+def test_bode_integral_counts_its_evaluations():
+    # each piece stops by level 8, 1639 nodes
+    for ls in _random_stable_loops("outer-z", 5, seed=5) + _random_stable_loops("outer-s", 5, 5):
+        discrete = ls.L.is_discrete
+        roots = (*ls.S.factors[0], *ls.S.factors[1])
+        end = math.pi if discrete else 2.0 * max([1.0] + [abs(q) for q in roots])
+        pieces = len(_pieces(0.0, end, _cuts(roots, discrete))[0])
+        assert 0 < bode_integral(ls.L).evaluations <= 1639 * pieces
 
 
 @pytest.mark.parametrize("builder", ["inner-s", "outer-s"])

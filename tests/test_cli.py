@@ -181,6 +181,22 @@ def test_freq_nyquist_row_prints_no_negative_zero(capsys, loop_args, want):
     assert rows[-1][1:] == want
 
 
+@pytest.mark.parametrize("alpha", ["1e-300", "1e-200"])
+def test_freq_dc_row_with_tiny_gain(capsys, alpha):
+    # d is exactly 0 at DC (the double pole at z = 1) and n is tiny: at 1e-300
+    # d + n was subnormal, and dividing by it printed mag_T inf and phase nan
+    rc, out, err = _run(
+        capsys,
+        [
+            "freq", "--domain", "z", "--loop", "outer", "--alpha", alpha, "--gdob", "1e-3",
+            "--ts", "1e-3", "--kp", "1000", "--kd", "250", "--points", "8",
+        ],
+    )
+    assert rc == 0 and err == ""
+    _, rows = _rows(out)
+    assert rows[0] == ["0", "0", "0", "1", "0"]
+
+
 def test_freq_refuses_pole_on_nyquist(capsys):
     # x = 2 puts the inner loop's closed-loop pole at z = -1
     rc, out, err = _run(
