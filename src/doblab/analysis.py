@@ -12,6 +12,7 @@ while the factored form keeps the absolute error near machine precision.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -55,10 +56,9 @@ __all__ = [
 # end, then to DC (any maximizer of an exactly flat magnitude is valid).
 PEAK_TIE_RTOL = 1e-12
 
-# Golden-section refinement of a peak stops at a bracket this wide relative
-# to its far end: near a smooth maximum the location is determined only to
-# about sqrt(eps), so narrower brackets chase rounding.
-PEAK_XTOL = math.sqrt(math.ulp(1.0))
+# Newton refinement of a peak makes at most this many steps; it converges
+# quadratically, and bisection safeguards it where it would not.
+PEAK_NEWTON_STEPS = 30
 
 # Total quadrature error above this (or NaN) raises instead of returning; in s
 # it is relative to max(1, the largest root magnitude of S).
@@ -69,33 +69,43 @@ QUAD_ERROR_CEILING = 1e-4
 # CLI's sweeps match to about 3e-16.
 PENCIL_RTOL = 1e-12
 
+# critical_parameter accepts a solved crossing v when the verdicts at
+# v -+ CROSSING_RTOL*|v| differ: well inside its 1e-6 relative contract.
+CROSSING_RTOL = 1e-7
+
 
 # ---------------------------------------------------------------------------
 # peak search
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float):
-    """Best point that golden-section search for a maximum of f on [a, b] evaluates."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    tol = PEAK_XTOL * max(abs(a), abs(b))
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
-    while b - a > tol:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
+def _newton_max(f, lo: float, x: float, hi: float) -> tuple[float, float]:
+    """Best point that safeguarded Newton on f' evaluates in [lo, hi], starting at x.
+
+    f(x) gives (value, f', f'').  The sign of f' at each point narrows the
+    bracket toward the maximum; a Newton step that is not concave or would
+    leave the bracket becomes the bracket's midpoint.  The search stops when
+    a step moves less than 4 eps times the bracket's larger end, or f' is
+    exactly 0.
+    """
+    tol = 4.0 * math.ulp(1.0) * max(abs(lo), abs(hi))
+    best_x, best_v = x, -math.inf
+    for _ in range(PEAK_NEWTON_STEPS):
+        v, g, h = f(x)
+        if v > best_v:
+            best_x, best_v = x, v
+        if g == 0.0:
+            break
+        if g > 0.0:
+            lo = x
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        if f1 > best_f:
-            best_x, best_f = x1, f1
-        if f2 > best_f:
-            best_x, best_f = x2, f2
-    return best_x, best_f
+            hi = x
+        step = x - g / h if h < 0.0 else math.nan
+        if not lo < step < hi:  # NaN included
+            step = 0.5 * (lo + hi)
+        if abs(step - x) <= tol:
+            break
+        x = step
+    return best_x, best_v
 
 
 def _contour_positions(roots, discrete: bool) -> list[tuple[float, float]]:
@@ -143,9 +153,11 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
     verdict is is_stable's, and the magnitude comes from tf.factors alone
     (roots in the stored u = z - 1 for sampled systems):
     lti.factored_values on _peak_grid (DC, _contour_end and each root's
-    anchors), then golden-section search on _factored_log_mag around every
-    grid point above both neighbours and around the grid's best point.  The
-    best result wins, so a maximum outside the grid's best basin is found.
+    anchors), then safeguarded Newton on the analytic slope of the
+    log-magnitude (_log_mag_slopes, _newton_max) from every grid point above
+    both neighbours and from the grid's best point, each bracketed by its
+    grid neighbours.  The best point evaluated wins, so a maximum outside the
+    grid's best basin is found.
 
     One end rule serves both domains: an end of the contour within
     PEAK_TIE_RTOL (relative) of the best magnitude wins, the far end first,
@@ -171,12 +183,12 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
     with np.errstate(divide="ignore"):  # a zero on a grid point gives -inf
         logs = np.log(np.abs(ratio))
     lead_ratio = abs(tf.num.lead / tf.den.lead)
-    f = _factored_log_mag(math.log(lead_ratio), zeros, poles, discrete)
+    f = _log_mag_slopes(math.log(lead_ratio), zeros, poles, discrete)
     i = int(np.argmax(logs))
     peaks = np.flatnonzero((logs[1:-1] > logs[:-2]) & (logs[1:-1] > logs[2:])) + 1
     last = len(grid) - 1
     candidates = [(float(grid[i]), float(logs[i]))] + [
-        _golden_max(f, float(grid[max(k - 1, 0)]), float(grid[min(k + 1, last)]))
+        _newton_max(f, float(grid[max(k - 1, 0)]), float(grid[k]), float(grid[min(k + 1, last)]))
         for k in np.union1d(peaks, [i]).tolist()
     ]
     x_best, l_best = max(candidates, key=lambda c: c[1])
@@ -211,23 +223,28 @@ def nyquist_t_magnitude(gain_product: float) -> float:
 # sensitivity integral
 
 
-def _factored_log_mag(lead_log: float, plus_roots, minus_roots, discrete: bool):
-    """x -> lead_log + sum ln|p - plus| - sum ln|p - minus| at p = contour_points(x).
+def _log_mag_slopes(lead_log: float, zeros, poles, discrete: bool):
+    """x -> (f, f', f'') of f = lead_log + sum ln|p - zero| - sum ln|p - pole|.
 
-    The scalar form, for the peak's golden-section refinement;
-    _integrate_log_mag evaluates the same sum over arrays of nodes.
+    p = contour_points(x): with p' = dp/dx (j(1 + p) in z, j in s) and p'' its
+    derivative (-(1 + p) in z, 0 in s), each root adds +-ln|p - r|, its slope
+    Re(p'/(p - r)) and its curvature Re(p''/(p - r) - (p'/(p - r))^2).  The
+    scalar form of the peak's Newton refinement; _integrate_log_mag sums the
+    same log terms over arrays of nodes.
     """
+    signed = [(r, 1.0) for r in zeros] + [(r, -1.0) for r in poles]
 
-    def f(x: float) -> float:
-        pt = contour_points(x, discrete)
-        acc = lead_log
-        for r in plus_roots:
-            d = abs(pt - r)
-            acc += math.log(d if d > 1e-300 else 1e-300)
-        for r in minus_roots:
-            d = abs(pt - r)
-            acc -= math.log(d if d > 1e-300 else 1e-300)
-        return acc
+    def f(x: float) -> tuple[float, float, float]:
+        p = contour_points(x, discrete)
+        dp, ddp = (1j * (1.0 + p), -(1.0 + p)) if discrete else (1j, 0j)
+        v, g, h = lead_log, 0.0, 0.0
+        for r, sign in signed:
+            d = (p - r) or 1e-300  # a zero on the contour at x
+            q = dp / d
+            v += sign * math.log(abs(d))
+            g += sign * q.real
+            h += sign * (ddp / d - q * q).real
+        return v, g, h
 
     return f
 
@@ -274,7 +291,7 @@ def _pieces(a: float, b: float, cuts) -> np.ndarray:
 def _integrate_log_mag(lead_log: float, plus_roots, minus_roots, discrete: bool, lo, hi):
     """(integral, error, evaluations) of the factored log-magnitude over the pieces [lo, hi].
 
-    The integrand is _factored_log_mag's, and the rule is tanh-sinh
+    The integrand is _log_mag_slopes' value, and the rule is tanh-sinh
     (Takahasi & Mori).  At each level the new nodes of every unconverged
     piece form one (pieces x nodes) array, and the log terms are added into
     it root by root.  A piece stops when two levels differ by at most 32 eps
@@ -283,7 +300,9 @@ def _integrate_log_mag(lead_log: float, plus_roots, minus_roots, discrete: bool,
     after level 8 too.  Sums are formed in units of each piece's half-width
     and scaled last, so a range near the largest double does not overflow
     while its nodes are weighted.  In z, a node's distance to pi is formed
-    from the nearer end of its piece, like its angle.
+    from the nearer end of its piece, like its angle, and a node past pi/2
+    is measured from z = -1 (p = u + 2 against r + 2), so the log terms of
+    roots near Nyquist keep their digits instead of ulp(2) noise.
     """
     half = 0.5 * (hi - lo)
     total = err = est = size = 0.0
@@ -292,14 +311,22 @@ def _integrate_log_mag(lead_log: float, plus_roots, minus_roots, discrete: bool,
         end = np.where(upper, hi[:, None], lo[:, None])
         step = half[:, None] * offset
         x = end + step
-        p = contour_points(x, discrete, (math.pi - end) - step if discrete else None)
+        if discrete:
+            # past pi/2 measure from z = -1: u + 2 = 2 sin^2(rest/2) + j sin(rest)
+            # and each root r + 2 (exact by Sterbenz for real parts in [-4, -1])
+            rest = (math.pi - end) - step
+            near = rest < 0.5 * math.pi
+            re = np.where(near, 2.0 * np.sin(0.5 * rest) ** 2, -2.0 * np.sin(0.5 * x) ** 2)
+            p, shift = re + 1j * np.sin(np.minimum(x, rest)), np.where(near, 2.0, 0.0)
+        else:
+            p, shift = 1j * x, 0.0
         f = np.full(x.shape, lead_log)
         mag = np.full(x.shape, abs(lead_log) + 1.0)
         evaluations += x.size
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite error is refused
             for roots, sign in ((plus_roots, 1.0), (minus_roots, -1.0)):
                 for r in roots:
-                    term = np.log(np.maximum(np.abs(p - r), 1e-300))
+                    term = np.log(np.maximum(np.abs(p - (r + shift)), 1e-300))
                     f += sign * term
                     mag += np.abs(term)
             prev, est, size = est, h * (f @ weight) + 0.5 * est, h * (mag @ weight) + 0.5 * size
@@ -680,29 +707,91 @@ def root_locus(
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _contour_map(n: int, discrete: bool) -> np.ndarray:
+    """Matrix taking a degree-n polynomial p (in s, or u = z - 1) to its form on the contour.
+
+    The result's coefficients are in the contour's real variable t.  In s
+    that is p(jt).  In z it is (1 - jt)^n p(u) at u = 2jt/(1 - jt), that is
+    z = (1 + jt)/(1 - jt): the unit circle is the real line t = tan(theta/2),
+    z = 1 is t = 0, and z = -1 lies at t = inf.  Each entry is a real times a
+    power of j, so the product with real coefficients keeps every term purely
+    real or purely imaginary.
+    """
+    jpow = np.array([1.0, 1j, -1.0, -1j])
+    if discrete:
+        m = np.zeros((n + 1, n + 1), dtype=complex)
+        for i in range(n + 1):  # column i: (2jt)^(n-i) (1 - jt)^i
+            for k in range(i + 1):
+                m[k, i] = 2.0 ** (n - i) * math.comb(i, k) * jpow[(n - i + 3 * (i - k)) % 4]
+    else:
+        m = np.diag(jpow[np.arange(n, -1, -1) % 4])
+    m.flags.writeable = False  # one array per degree and domain, shared by every call
+    return m
+
+
+def _crossings(a: np.ndarray, b: np.ndarray, ts: float | None, lo: float, hi: float):
+    """Sorted candidate values v in [lo, hi] where a root of a + v*b meets the boundary.
+
+    A root x of a + v*b lies on the boundary exactly when a(x)*conj(b(x)) is
+    real there, and then v = -a(x)/b(x).  With A and B the polynomials on the
+    contour's real variable t (_contour_map), that is where the real
+    polynomial q(t) = Im(A(t)*conj(B(t))) vanishes.  q always vanishes at
+    DC, t = 0, and in z at Nyquist, t = inf; these are taken as they are, and
+    the rest of q is solved once.  Each real root of q (to 1e-6) is put on
+    the contour (at |t|, or the angle 2*atan|t|) and mapped to v.  Rounding
+    and pairs of roots near the contour give spurious values, so a caller
+    verifies each.
+    """
+    discrete = ts is not None
+    ab = np.array([a, b]).T
+    ab = np.ldexp(ab, -np.frexp(np.abs(ab).max())[1])  # exact: q's products cannot overflow
+    ab = _contour_map(len(a) - 1, discrete) @ ab
+    q = np.trim_zeros(np.convolve(ab[:, 0], np.conj(ab[:, 1])).imag)
+    t = stacked_roots(q[None, :])[0] if len(q) > 1 else np.empty(0, dtype=complex)
+    t = np.abs(t.real[np.abs(t.imag) <= 1e-6 * np.maximum(1.0, np.abs(t))])
+    x = np.concatenate([[0.0, math.pi], 2.0 * np.arctan(t)] if discrete else [[0.0], t])
+    p = contour_points(x, discrete)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = (-np.polyval(a, p) / np.polyval(b, p)).real
+    return np.unique(v[(lo <= v) & (v <= hi)])
+
+
 def critical_parameter(
     build_loop: Callable[[float], LoopSet],
     lo: float,
     hi: float,
 ) -> float:
-    """Bisect the stability boundary between two parameter values.
+    """The lowest value in [lo, hi] where the closed-loop verdict flips.
 
-    The endpoints must give opposite closed-loop verdicts; the bracket is
-    shrunk to a relative width of 1e-6 and its midpoint returned.  When chi
-    is affine in the parameter, only the probe values of _affine_pencil
-    (lo, the midpoint and hi) are built and every verdict comes from
-    a + v*b, so build_loop must be defined over the whole bracket.
+    The endpoints must give opposite closed-loop verdicts.  When chi is affine
+    in the parameter, only the probe values of _affine_pencil (lo, the
+    midpoint and hi) are built, so build_loop must be defined over the whole
+    bracket, and the crossings are solved for (D-decomposition): _crossings
+    gives the candidate values, and one stacked solve gives the verdicts at
+    lo, hi and each candidate v -+ CROSSING_RTOL*|v|.  The lowest candidate
+    whose verdicts differ is returned, a root on the boundary exactly, if the
+    verdict below it is lo's.  Otherwise (a builder that is not a pencil, no
+    candidate verified, or one missed below) the bracket is bisected to a
+    relative width of 1e-6 and its midpoint returned.
     """
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     pencil = _affine_pencil(build_loop, (lo, 0.5 * (lo + hi), hi))
+    cands = _crossings(*pencil, lo, hi).tolist() if pencil is not None else []
+    sides = [w for v in cands for w in (v - CROSSING_RTOL * abs(v), v + CROSSING_RTOL * abs(v))]
+    flags = _closed_loop_roots(build_loop, pencil, [lo, hi, *sides])[1]
+    s_lo = flags[0]
+    if s_lo == flags[1]:
+        raise ValueError("bracket endpoints give the same stability verdict")
+    flips = [(v, lo_side) for v, lo_side, hi_side in zip(cands, flags[2::2], flags[3::2])
+             if lo_side != hi_side]
+    if flips and flips[0][1] == s_lo:
+        return flips[0][0]
 
     def stable_at(v: float) -> bool:
         return _closed_loop_roots(build_loop, pencil, [v])[1][0]
 
-    s_lo = stable_at(lo)
-    if s_lo == stable_at(hi):
-        raise ValueError("bracket endpoints give the same stability verdict")
     while hi - lo > 1e-6 * max(abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         if stable_at(mid) == s_lo:

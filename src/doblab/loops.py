@@ -71,9 +71,15 @@ class LoopSet:
 
     @classmethod
     def from_open_loop(cls, L: RationalTransferFunction) -> "LoopSet":
+        """S = L.den/chi and T = L.num/chi, with chi = L.chi = L.den + L.num.
+
+        S and T hold L's own polynomial objects, and chi is cached on L, so
+        their roots (Polynomial.roots) are solved once for L, S, T and every
+        LoopSet built again from the same L, as bode_integral does.
+        """
         if L.num.degree > L.den.degree:
             raise ValueError("open loop must be proper")
-        chi = L.den + L.num
+        chi = L.chi
         if chi.is_zero:
             raise ValueError("degenerate loop: 1 + L vanishes identically")
         S = RationalTransferFunction(L.den, chi, ts=L.ts)

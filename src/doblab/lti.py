@@ -5,10 +5,11 @@ Coefficients are stored highest degree first, matching the ordering used by
 cancels common factors.  A sampled system stores its coefficients in
 u = z - 1 (the delta form), where the roots that sampled integrators cluster
 at z = 1 are small roots, resolved to their own precision; ``poles`` and
-``tf_eval`` still speak z.  ``RationalTransferFunction.factors`` solves a
-transfer function once, in its stored variable; poles, verdicts, peaks, the
-Bode integral and frequency responses read it, via ``factored_values``
-(lead * prod(p - r) at ``contour_points``).  ``tf_eval`` is Horner at any point.
+``tf_eval`` still speak z.  ``Polynomial.roots`` solves each polynomial object
+once per domain, in its stored variable, and ``RationalTransferFunction.factors``
+reads it; poles, verdicts, peaks, the Bode integral and frequency responses
+read the factors, via ``factored_values`` (lead * prod(p - r) at
+``contour_points``).  ``tf_eval`` is Horner at any point.
 """
 
 from __future__ import annotations
@@ -98,6 +99,34 @@ class Polynomial:
     def scale(self, k: float) -> "Polynomial":
         return Polynomial(tuple(c * k for c in self.coeffs))
 
+    def roots(self, sampled: bool) -> tuple[complex, ...]:
+        """Roots in the stored variable, solved once per object and domain.
+
+        poly_roots solves the polynomial, and each root moves by one Newton
+        step where that lowers |p|: ``eigvals`` is backward stable in the norm
+        of the whole companion matrix, so with widely graded coefficients the
+        small roots carry errors of eps times the largest, and one step on
+        the polynomial itself removes them.  A sampled polynomial (in u = z - 1)
+        that vanishes at Nyquist, u = -2, to rounding
+        (|p(-2)| <= ulp(1)*sum|c_k|*2^k: the ZoH zero, which float block
+        products move by a few ulp) has its root nearest -2 put there.  The
+        roots are kept on this object, keyed by domain; a constant has none.
+        """
+        cache = self.__dict__.setdefault("_roots", {})
+        if sampled in cache:
+            return cache[sampled]
+        roots = list(poly_roots(self)) if self.degree >= 1 else []
+        slope = Polynomial(tuple(c * k for c, k in zip(self.coeffs, range(self.degree, 0, -1))))
+        for i, r in enumerate(roots):
+            res, d = self(r), slope(r)
+            if d != 0.0 and abs(self(r - res / d)) < abs(res):
+                roots[i] = r - res / d
+        if sampled and roots:
+            if abs(self(-2.0)) <= math.ulp(1.0) * np.polyval(np.abs(self.coeffs), 2.0):
+                roots[min(range(len(roots)), key=lambda i: abs(roots[i] + 2.0))] = complex(-2.0)
+        cache[sampled] = tuple(roots)
+        return cache[sampled]
+
 
 def poly_roots(p: Polynomial) -> tuple[complex, ...]:
     """All complex roots via eigenvalues of the companion matrix.
@@ -157,45 +186,32 @@ class RationalTransferFunction:
             raise ValueError("continuous-time system has no Nyquist frequency")
         return math.pi / self.ts
 
-    @cached_property
+    @property
     def factors(self) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
         """(zeros, poles) in the stored variable: s, or u = z - 1.
 
         With each polynomial's lead they give it as lead * prod(x - r)
-        (factored_values); a constant has no roots.  Each polynomial is
-        solved once, by poly_roots, and each root moves by one Newton step
-        where that lowers |p|: ``eigvals`` is backward stable in the norm of
-        the whole companion matrix, so with widely graded coefficients the
-        small roots carry errors of eps times the largest, and one step on
-        the polynomial itself removes them.  In a sampled system, where a
-        polynomial vanishes at Nyquist, u = -2, to rounding
-        (|p(-2)| <= ulp(1)*sum|c_k|*2^k: the ZoH zero, which float block
-        products move by a few ulp), its root nearest -2 is put there.  The
-        poles are cached on their own, so poles() and is_stable solve no zeros.
+        (factored_values); a constant has no roots.  Each comes from
+        Polynomial.roots in this system's domain, which solves a polynomial
+        object once per domain and keeps the roots on it: the S and T of a
+        LoopSet share their polynomials with L (S.num is L.den, T.num is
+        L.num, and both denominators are L.chi), so no root of one loop is
+        solved twice.  Reading only the poles solves no zeros.
         """
-        return self._solve(self.num), self._poles
+        return self.num.roots(self.is_discrete), self.den.roots(self.is_discrete)
 
     @cached_property
-    def _poles(self) -> tuple[complex, ...]:
-        return self._solve(self.den)
+    def chi(self) -> Polynomial:
+        """den + num, the closed-loop characteristic polynomial of this open loop.
 
-    def _solve(self, p: Polynomial) -> tuple[complex, ...]:
-        if p.degree < 1:
-            return ()
-        slope = Polynomial(tuple(c * k for c, k in zip(p.coeffs, range(p.degree, 0, -1))))
-        roots = []
-        for r in poly_roots(p):
-            res, d = p(r), slope(r)
-            if d != 0.0 and abs(p(r - res / d)) < abs(res):
-                r -= res / d
-            roots.append(r)
-        if self.is_discrete and abs(p(-2.0)) <= math.ulp(1.0) * np.polyval(np.abs(p.coeffs), 2.0):
-            roots[min(range(len(roots)), key=lambda i: abs(roots[i] + 2.0))] = complex(-2.0)
-        return tuple(roots)
+        Cached, so every LoopSet built from this loop shares it and its roots.
+        """
+        return self.den + self.num
 
     def poles(self) -> tuple[complex, ...]:
         """Roots of the denominator: s, or z = 1 + u for a sampled system."""
-        return self._poles if self.ts is None else tuple(1.0 + u for u in self._poles)
+        poles = self.den.roots(self.is_discrete)
+        return poles if self.ts is None else tuple(1.0 + u for u in poles)
 
     def at_frequency(self, omega: float) -> complex:
         """Evaluate on the frequency contour: s = j*omega or z = exp(j*omega*ts).
@@ -330,20 +346,17 @@ def validate_grid(tf: RationalTransferFunction, omega) -> np.ndarray:
     return om
 
 
-def contour_points(x, discrete: bool, rest=None):
+def contour_points(x, discrete: bool):
     """u = e^(j*x) - 1 at the angle x if discrete, else j*x; float or array.
 
     The real part -2 sin^2(x/2) keeps u accurate near DC, and past pi/2 the
-    imaginary part is sin(pi - x), so the angle pi gives u = -2 exactly.  An
-    array of angles may come with rest = pi - x, formed more accurately than
-    from the rounded x: the Bode quadrature's nodes near pi need it.
+    imaginary part is sin(pi - x), so the angle pi gives u = -2 exactly.
     """
     if not discrete:
         return 1j * x
     if isinstance(x, float):
         return complex(-2.0 * math.sin(0.5 * x) ** 2, math.sin(min(x, math.pi - x)))
-    rest = math.pi - x if rest is None else rest
-    return -2.0 * np.sin(0.5 * x) ** 2 + 1j * np.sin(np.minimum(x, rest))
+    return -2.0 * np.sin(0.5 * x) ** 2 + 1j * np.sin(np.minimum(x, math.pi - x))
 
 
 def factored_values(lead: float, roots, points: np.ndarray) -> np.ndarray:

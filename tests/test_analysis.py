@@ -5,10 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from doblab import lti
+from doblab import analysis, lti
 from doblab.analysis import (
     OuterGainAudit,
     PeakSpec,
@@ -25,6 +26,7 @@ from doblab.analysis import (
     root_locus,
     sensitivity_peak,
 )
+from doblab.discretize import DiscretizationRule, substitute
 from doblab.loops import LoopSet, inner_loop_ct, inner_loop_dt, outer_loop_ct, outer_loop_dt
 from doblab.lti import (
     BOUNDARY_TOL,
@@ -78,8 +80,8 @@ def test_complementary_peak_is_dc_when_pole_positive(x):
 @pytest.mark.parametrize("ts", [1e-3, 1e-4])
 def test_complementary_peak_tie_rule_keeps_dc(ts):
     # below x = 1 the supremum of |T| is exactly 1, at DC; the grid and the
-    # golden-section refinement can round a point just off DC to a value an
-    # ulp above 1, and the tie rule must still report DC itself
+    # Newton refinement can round a point just off DC to a value an ulp
+    # above 1, and the tie rule must still report DC itself
     for x in np.linspace(0.0, 1.0, 502)[1:-1]:
         omega, peak = sensitivity_peak(_inner_dt(x, ts).T)
         assert omega == 0.0, f"x={x}"
@@ -400,6 +402,24 @@ def test_bode_integral_against_exact_integral_hard_cases(ls):
     _assert_within_quadrature_error(ls)
 
 
+def test_bode_integral_root_near_nyquist_converges_early():
+    # at x = 2 - 1e-6 the root of S lies 1e-6 inside z = -1; measured from
+    # z = 1, u's real part rounds to ulp(2) there and the piece beside the
+    # root ran through level 8 (2 048 evaluations in all)
+    r = bode_integral(_inner_dt(2.0 - 1e-6).L)
+    assert r.evaluations <= 600
+    assert abs(r.value - r.predicted) <= r.quadrature_error
+
+
+@pytest.mark.parametrize("ls", [_inner_dt(0.5), inner_loop_ct(DObParams(1.0, 500.0, g_v=2e3))],
+                         ids=["z", "s"])
+def test_bode_integral_refuses_nan_error(monkeypatch, ls):
+    # NaN compares false with the ceiling, so it must not pass for converged
+    monkeypatch.setattr(analysis, "_integrate_log_mag", lambda *args: (0.0, math.nan, 1))
+    with pytest.raises(RuntimeError, match="quadrature did not converge"):
+        bode_integral(ls.L)
+
+
 def _cuts(roots, discrete):
     """The cuts bode_integral puts at each root's position and its distance either side."""
     return [x for p, d in _contour_positions(roots, discrete) for x in (p - d, p, p + d)]
@@ -652,16 +672,22 @@ def test_inner_dt_closed_forms_at_small_x(x):
     assert abs(abs(t_val) - nyquist_t_magnitude(x)) <= 1e-15 * abs(t_val)
 
 
+def _recorded(monkeypatch, module, name: str) -> list:
+    """The arguments of every later call of module.name."""
+    calls = []
+    fn = getattr(module, name)
+
+    def recorded(arg):
+        calls.append(arg)
+        return fn(arg)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
 def test_one_solve_per_polynomial(monkeypatch):
     # the verdict, the peak and a contour value all read the same S.factors
-    calls = []
-    solve = lti.poly_roots
-
-    def counted(p):
-        calls.append(p)
-        return solve(p)
-
-    monkeypatch.setattr(lti, "poly_roots", counted)
+    calls = _recorded(monkeypatch, lti, "poly_roots")
     S = outer_loop_dt(DObParams(alpha=1.0, g_dob=500.0, ts=TS), SWEEP_GAINS).S
     assert is_stable(S).is_stable
     sensitivity_peak(S)
@@ -673,6 +699,44 @@ def test_one_solve_per_polynomial(monkeypatch):
     S = outer_loop_dt(DObParams(alpha=1.0, g_dob=500.0, ts=TS), SWEEP_GAINS).S
     assert is_stable(S).is_stable
     assert calls == [S.den]
+
+    # L, S and T of one LoopSet hold three polynomial objects, and the
+    # LoopSet that bode_integral builds again from L shares L's cached chi
+    calls.clear()
+    ls = outer_loop_dt(DObParams(alpha=1.0, g_dob=500.0, ts=TS), SWEEP_GAINS)
+    sensitivity_peak(ls.S)
+    sensitivity_peak(ls.T)
+    assert ls.L.factors == (ls.T.factors[0], ls.S.factors[0])
+    ls.st_response([1.0, 100.0])
+    bode_integral(ls.L)
+    assert [id(p) for p in calls] == [id(ls.L.chi), id(ls.L.den), id(ls.L.num)]
+    assert ls.S.den is ls.T.den is ls.L.chi
+
+
+def test_design_point_makes_ten_root_solves(monkeypatch):
+    # a library-study design point: four peaks, three Bode integrals, the
+    # constraints, the outer-gain audit, a Tustin verdict, an alpha sweep and
+    # its crossing.  It made 15 solves while S.num, T.num and the chi of
+    # bode_integral's LoopSet were solved again; the sweep and the crossing
+    # solve bare pencil rows, not polynomial objects
+    calls = _recorded(monkeypatch, lti, "poly_roots")
+    inner_z = _inner_dt(1.2)
+    outer_z = _dt_alpha_build(0.9)
+    outer_s = outer_loop_ct(DObParams(alpha=1.3, g_dob=750.0, g_v=3000.0), SWEEP_GAINS)
+    inner_s = inner_loop_ct(DObParams(alpha=0.8, g_dob=400.0, g_v=2000.0))
+    for tf in (inner_z.S, inner_z.T, outer_z.S, outer_s.S):
+        sensitivity_peak(tf)
+    for ls in (inner_z, inner_s, outer_z):
+        bode_integral(ls.L)
+    check_constraints(DObParams(alpha=1.2, g_dob=600.0, ts=TS), SWEEP_GAINS, PeakSpec(0.5, 0.5))
+    audit_outer_gain_condition(DObParams(alpha=1.2, g_dob=600.0), SWEEP_GAINS)
+    inner_ct = inner_loop_ct(DObParams(alpha=1.0, g_dob=2000.0, g_v=1000.0))
+    is_stable(LoopSet.from_open_loop(substitute(inner_ct.L, TS, DiscretizationRule.TUSTIN)).S)
+    values = np.linspace(1.1, 4.9, 200)
+    flags = [row.stable for row in root_locus(_dt_alpha_build, values)]
+    k = flags.index(False)
+    critical_parameter(_dt_alpha_build, values[k - 1], values[k])
+    assert len(calls) == 10
 
 
 def test_outer_dt_nyquist_zero_is_exact():
@@ -1165,6 +1229,16 @@ def test_critical_parameter_outer_ct_matches_routh_bound():
     assert crit == pytest.approx(alpha_low, rel=1e-4)
 
 
+def test_critical_parameter_refuses_a_pencil_of_huge_coefficients():
+    # with kp = 1e200 the crossing polynomial's products would overflow, and
+    # the loop is stable for every g_dob: the bracket is refused as before
+    def build(g_dob: float) -> LoopSet:
+        return outer_loop_ct(DObParams(alpha=1.0, g_dob=g_dob), OuterGains(kp=1e200, kd=1.0))
+
+    with pytest.raises(ValueError, match="same stability verdict"):
+        critical_parameter(build, 1.0, 100.0)
+
+
 def test_critical_parameter_bracket_validation():
     def build(alpha: float) -> LoopSet:
         return inner_loop_dt(DObParams(alpha=alpha, g_dob=1000.0, ts=1e-3))
@@ -1173,3 +1247,112 @@ def test_critical_parameter_bracket_validation():
         critical_parameter(build, 0.5, 1.5)
     with pytest.raises(ValueError, match="lo < hi"):
         critical_parameter(build, 3.0, 1.5)
+
+
+def _stacked_solves(monkeypatch) -> list:
+    """Every later stacked_roots call, whether from analysis or from poly_roots."""
+    calls = _recorded(monkeypatch, lti, "stacked_roots")
+    monkeypatch.setattr(analysis, "stacked_roots", lti.stacked_roots)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build, lo, hi",
+    [
+        (_dt_alpha_build, 1.0, 5.0),
+        (lambda a: outer_loop_ct(DObParams(alpha=a, g_dob=750.0, g_v=3000.0), SWEEP_GAINS),
+         1e-4, 1e-2),
+        (lambda a: inner_loop_dt(DObParams(alpha=a, g_dob=1000.0, ts=1e-3)), 1.5, 3.0),
+    ],
+    ids=["outer-z-alpha", "outer-s-gv-alpha", "inner-z-alpha"],
+)
+def test_critical_parameter_on_a_pencil_makes_two_solves(monkeypatch, build, lo, hi):
+    # one solve of the crossing polynomial, one of every verdict's row; the
+    # bisection made 15 one-row solves
+    calls = _stacked_solves(monkeypatch)
+    crit = critical_parameter(build, lo, hi)
+    assert len(calls) <= 2
+    assert abs(crit - _bisect_per_point(build, lo, hi)) <= 1e-6 * crit
+
+
+@pytest.mark.parametrize(
+    "g_dob, ts", [(1000.0, 1e-3), (750.0, 1e-4), (3e4, 1e-4), (123.456, 3.7e-3), (7.0, 0.011)]
+)
+def test_critical_parameter_inner_loop_is_the_exact_crossing(g_dob, ts):
+    # the closed-loop pole 1 - alpha*g_dob*ts reaches z = -1, solved by sympy
+    # on the exact binary values of g_dob and ts
+    alpha = sympy.Symbol("alpha")
+    (exact,) = sympy.solve(1 - alpha * sympy.Rational(g_dob) * sympy.Rational(ts) + 1, alpha)
+    exact = float(exact)
+
+    def build(a: float) -> LoopSet:
+        return inner_loop_dt(DObParams(alpha=a, g_dob=g_dob, ts=ts))
+
+    crit = critical_parameter(build, 0.5 * exact, 3.0 * exact)
+    assert abs(crit - exact) <= 1e-10 * exact
+
+
+def _three_crossings(v: float) -> LoopSet:
+    # chi = s^4 + (11 - v) s^3 + 8 s^2 + 5 s + 1 + v: stable, unstable,
+    # stable again and unstable over v in [1, 12]
+    L = RationalTransferFunction(Polynomial((-v, 0.0, 0.0, v)), Polynomial((1.0, 11.0, 8.0, 5.0, 1.0)))
+    return LoopSet.from_open_loop(L)
+
+
+def _verdict(build, v: float) -> bool:
+    ls = build(v)
+    return classify_roots(ls.S.poles(), ls.L.ts).is_stable
+
+
+def test_critical_parameter_returns_the_lowest_of_three_crossings(monkeypatch):
+    assert [_verdict(_three_crossings, v) for v in (1.0, 5.5, 8.0, 12.0)] == [
+        True, False, True, False
+    ]
+    calls = _stacked_solves(monkeypatch)
+    crit = critical_parameter(_three_crossings, 1.0, 12.0)
+    assert len(calls) <= 2
+    # per point, the verdict flips there, and bisection of the first flip agrees
+    assert _verdict(_three_crossings, crit * (1 - 1e-6))
+    assert not _verdict(_three_crossings, crit * (1 + 1e-6))
+    assert abs(crit - _bisect_per_point(_three_crossings, 1.0, 5.5)) <= 1e-6 * crit
+
+
+def test_critical_parameter_on_a_vanishing_crossing_polynomial(monkeypatch):
+    # chi = (s + 1)(s^2 + v): a(jw)*conj(b(jw)) is real for every w, so the
+    # crossing polynomial vanishes identically.  No such pencil can flip: its
+    # roots outside a common factor pair up across the boundary, so here no
+    # v is stable, and the bracket is refused
+    def build(v: float) -> LoopSet:
+        L = RationalTransferFunction(Polynomial((v, v)), Polynomial((1.0, 1.0, 0.0, 0.0)))
+        return LoopSet.from_open_loop(L)
+
+    with pytest.raises(ValueError, match="same stability verdict"):
+        critical_parameter(build, -1.0, 2.0)
+    # so a vanishing q is forced on a flipping pencil: with no candidate the
+    # bracket is bisected, one stacked solve per verdict
+    monkeypatch.setattr(analysis, "_crossings", lambda *args: np.empty(0))
+    calls = _stacked_solves(monkeypatch)
+    crit = critical_parameter(_dt_alpha_build, 1.0, 5.0)
+    assert len(calls) > 10
+    assert abs(crit - _bisect_per_point(_dt_alpha_build, 1.0, 5.0)) <= 1e-6 * crit
+
+
+def _slow_crossing(v: float) -> LoopSet:
+    # chi = s + 1e-3 (v - 1) crosses at v = 1, but its root leaves the
+    # BOUNDARY_TOL band only at v = 1 + 1e-6
+    L = RationalTransferFunction(Polynomial((1e-3 * v,)), Polynomial((1.0, -1e-3)))
+    return LoopSet.from_open_loop(L)
+
+
+@pytest.mark.parametrize(
+    "build, lo, hi", [(_slow_crossing, 0.5, 2.0), (_dt_gdob_build, 100.0, 1000.0)],
+    ids=["slow-s", "outer-z-gdob"],
+)
+def test_critical_parameter_bisects_a_crossing_that_does_not_verify(monkeypatch, build, lo, hi):
+    # the verdict flips more than CROSSING_RTOL from the crossing itself, so
+    # the crossing does not verify and the verdict flip is bisected; on the
+    # sampled outer loop the crossing at g_dob 159.446 is such a slow one
+    calls = _stacked_solves(monkeypatch)
+    crit = critical_parameter(build, lo, hi)
+    assert len(calls) > 10
+    assert abs(crit - _bisect_per_point(build, lo, hi)) <= 1e-6 * crit

@@ -414,9 +414,9 @@ def test_bode_integral_discrete_balances(capsys):
 
 
 def test_bode_integral_refuses_nan_quadrature(capsys):
-    # with g_dob 8e307 the integral ends at 1.6e308 rad/s, where the
-    # quadrature's own arithmetic overflows, and a NaN error estimate must
-    # not pass the ceiling
+    # with g_dob 8e307 three times the largest root overflows, so the range
+    # guard of bode_integral refuses the loop before any quadrature; the NaN
+    # branch of the error ceiling is reached in test_analysis
     rc, out, err = _run(
         capsys,
         ["bode-integral", "--domain", "s", "--loop", "inner", "--alpha", "1", "--gdob", "8e307"],
@@ -436,8 +436,9 @@ def test_bode_integral_refuses_nan_quadrature(capsys):
     ids=["gdob", "alpha", "gv", "gdob-8.5e307"],
 )
 def test_bode_integral_refuses_overflowing_roots(capsys, flags):
-    # the first three raised a bare OverflowError and now overflow the end of
-    # the range; the last overflows |p - r| inside the integrand
+    # the first three raised a bare OverflowError; all four are now refused
+    # by the range guard of bode_integral, as three times the largest root
+    # overflows
     rc, out, err = _run(capsys, ["bode-integral", "--domain", "s", "--loop", "inner", *flags])
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
