@@ -24,21 +24,21 @@ def zoh_double_integrator(gain: float, ts: float) -> RationalTransferFunction:
 
     gain * (ts^2/2) * (z + 1) / (z - 1)^2, stored as h*(u + 2)/u^2 with
     h = gain*ts^2/2; this is the step-invariant map of the double
-    integrator, not an approximation.  Its sampling zero sits exactly at
-    u = -2, the Nyquist point.
+    integrator, not an approximation.  Its sampling zero is u = -2, the
+    Nyquist point, and its double pole u = 0; both are carried exactly.
     """
     if not (ts > 0.0 and math.isfinite(ts)):
         raise ValueError("ts must be positive")
     half = 0.5 * gain * ts * ts
     return RationalTransferFunction(
-        Polynomial((half, 2.0 * half)), Polynomial((1.0, 0.0, 0.0)), ts=ts
+        Polynomial((half, 2.0 * half), (-2.0,)), Polynomial((1.0, 0.0, 0.0), (0.0, 0.0)), ts=ts
     )
 
 
 def backward_euler_pd(gains: OuterGains, ts: float) -> RationalTransferFunction:
     """PD law with a backward-Euler derivative: kp + kd*(z-1)/(ts*z).
 
-    Stored as ((kp + kd/ts)*u + kp)/(u + 1).
+    Stored as ((kp + kd/ts)*u + kp)/(u + 1), carrying its zero and pole.
     """
     if not (ts > 0.0 and math.isfinite(ts)):
         raise ValueError("ts must be positive")
@@ -47,8 +47,9 @@ def backward_euler_pd(gains: OuterGains, ts: float) -> RationalTransferFunction:
         return RationalTransferFunction(
             Polynomial((gains.kp,)), Polynomial((1.0,)), ts=ts
         )
+    lead = gains.kp + gains.kd / ts
     return RationalTransferFunction(
-        Polynomial((gains.kp + gains.kd / ts, gains.kp)), Polynomial((1.0, 1.0)), ts=ts
+        Polynomial((lead, gains.kp), (-gains.kp / lead,)), Polynomial((1.0, 1.0), (-1.0,)), ts=ts
     )
 
 

@@ -74,8 +74,8 @@ class LoopSet:
         """S = L.den/chi and T = L.num/chi, with chi = L.chi = L.den + L.num.
 
         S and T hold L's own polynomial objects, and chi is cached on L, so
-        their roots (Polynomial.roots) are solved once for L, S, T and every
-        LoopSet built again from the same L, as bode_integral does.
+        their roots (Polynomial.roots) are known or solved once for L, S, T
+        and every LoopSet built again from the same L, as bode_integral does.
         """
         if L.num.degree > L.den.degree:
             raise ValueError("open loop must be proper")
@@ -96,7 +96,7 @@ class LoopSet:
         does not overflow the division.  An exactly zero d or n gives +0, of
         phase 0, and the other of S and T is then exactly 1.  A
         sampled grid runs at the angles (omega/nyquist)*pi, so Nyquist is
-        u = -2 exactly, where L.factors puts the ZoH zero.
+        u = -2 exactly, where the ZoH block carries its zero.
         A grid is refused where |d + n| <= POLE_EVAL_TOL*(|d| + |n|), where S
         is undefined at rounding level; the message names the first such omega.
         """
@@ -124,20 +124,24 @@ def inner_loop_ct(p: DObParams) -> LoopSet:
     """Continuous inner estimation loop; g_v = inf gives the ideal-velocity form."""
     a_g = p.alpha * p.g_dob
     if math.isinf(p.g_v):
-        L = RationalTransferFunction(
-            Polynomial((a_g,)), Polynomial((1.0, 0.0)), ts=None
-        )
+        L = RationalTransferFunction(Polynomial((a_g,)), Polynomial((1.0, 0.0), (0.0,)))
     else:
-        L = RationalTransferFunction(
-            Polynomial((a_g * p.g_v,)), Polynomial((1.0, p.g_v, 0.0)), ts=None
-        )
+        den = Polynomial((1.0, p.g_v, 0.0), (-p.g_v, 0.0))
+        L = RationalTransferFunction(Polynomial((a_g * p.g_v,)), den)
     return LoopSet.from_open_loop(L)
+
+
+def _ideal_velocity(p: DObParams) -> float:
+    """p's sampling period; a finite g_v is refused, as no sampled loop models it."""
+    if not math.isinf(p.g_v):
+        raise ValueError("the sampled loops assume ideal velocity; finite g_v is not modelled")
+    return p.require_ts()
 
 
 def inner_loop_dt(p: DObParams) -> LoopSet:
     """Sampled inner estimation loop, alpha*g_dob*ts/(z-1) = x/u."""
-    x = per_sample_gain(p)
-    L = RationalTransferFunction(Polynomial((x,)), Polynomial((1.0, 0.0)), ts=p.ts)
+    ts, x = _ideal_velocity(p), per_sample_gain(p)
+    L = RationalTransferFunction(Polynomial((x,)), Polynomial((1.0, 0.0), (0.0,)), ts=ts)
     return LoopSet.from_open_loop(L)
 
 
@@ -148,11 +152,11 @@ def outer_loop_ct(p: DObParams, gains: OuterGains) -> LoopSet:
     s_plus_g = Polynomial((1.0, p.g_dob))
     if math.isinf(p.g_v):
         num = p.alpha * (p.g_dob * s2 + s_plus_g * pd)
-        den = Polynomial((1.0, 0.0, 0.0, 0.0))
+        den = Polynomial((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     else:
         s_plus_gv = Polynomial((1.0, p.g_v))
         num = p.alpha * ((p.g_v * p.g_dob) * s2 + s_plus_gv * s_plus_g * pd)
-        den = Polynomial((1.0, p.g_v, 0.0, 0.0, 0.0))
+        den = Polynomial((1.0, p.g_v, 0.0, 0.0, 0.0), (-p.g_v, 0.0, 0.0, 0.0))
     L = RationalTransferFunction(num, den, ts=None)
     return LoopSet.from_open_loop(L)
 
@@ -176,13 +180,15 @@ def ci_compensator_dt(p: DObParams) -> CiCompensator:
     C_i(z) = alpha*((1 + g_dob*ts)*z - 1) / (z - (1 - alpha*g_dob*ts)),
     stored as alpha*((1 + g_dob*ts)*u + g_dob*ts) / (u + x).  Its zero
     leads the pole exactly when alpha exceeds 1/(1 + g_dob*ts); at the
-    threshold the pair cancels and the block is a pure gain.
+    threshold the pair cancels and the block is a pure gain.  It carries
+    its zero -g_dob*ts/(1 + g_dob*ts) and its pole -x.
     """
     ts = p.require_ts()
     g_ts = p.g_dob * ts
+    x = per_sample_gain(p)
     tf = RationalTransferFunction(
-        Polynomial((p.alpha * (1.0 + g_ts), p.alpha * g_ts)),
-        Polynomial((1.0, per_sample_gain(p))),
+        Polynomial((p.alpha * (1.0 + g_ts), p.alpha * g_ts), (-g_ts / (1.0 + g_ts),)),
+        Polynomial((1.0, x), (-x,)),
         ts=ts,
     )
     threshold = 1.0 / (1.0 + g_ts)
@@ -199,9 +205,10 @@ def outer_loop_dt(p: DObParams, gains: OuterGains) -> LoopSet:
     """Sampled position loop: PD * inner compensator * ZoH double integrator.
 
     tf_connect multiplies the blocks in u, so L's double pole at z = 1 is
-    stored exactly, as u^2.
+    stored exactly, as u^2, and L carries the blocks' roots: the ZoH zero
+    is u = -2 exactly, and only chi is solved.
     """
-    ts = p.require_ts()
+    ts = _ideal_velocity(p)
     c = backward_euler_pd(gains, ts)
     ci = ci_compensator_dt(p).tf
     gp = zoh_double_integrator(1.0, ts)

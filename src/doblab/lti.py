@@ -5,18 +5,18 @@ Coefficients are stored highest degree first, matching the ordering used by
 cancels common factors.  A sampled system stores its coefficients in
 u = z - 1 (the delta form), where the roots that sampled integrators cluster
 at z = 1 are small roots, resolved to their own precision; ``poles`` and
-``tf_eval`` still speak z.  ``Polynomial.roots`` solves each polynomial object
-once per domain, in its stored variable, and ``RationalTransferFunction.factors``
-reads it; poles, verdicts, peaks, the Bode integral and frequency responses
-read the factors, via ``factored_values`` (lead * prod(p - r) at
-``contour_points``).  ``tf_eval`` is Horner at any point.
+calling a system (Horner at any point) still speak z.  ``Polynomial.roots``
+gives the closed-form roots a polynomial carries, or solves it once;
+``RationalTransferFunction.factors`` reads them, and poles, verdicts, peaks,
+the Bode integral and frequency responses read the factors, via
+``factored_values`` (lead * prod(p - r) at ``contour_points``).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "StabilityVerdict",
     "poly_roots",
     "stacked_roots",
-    "tf_eval",
     "tf_connect",
     "classify_roots",
     "stable_rows",
@@ -47,9 +46,10 @@ POLE_EVAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Real polynomial with coefficients ordered highest degree first."""
+    """Real polynomial, coefficients highest degree first, and its roots if known."""
 
     coeffs: tuple[float, ...]
+    known_roots: tuple[complex, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         c = tuple(float(v) for v in self.coeffs)
@@ -63,6 +63,11 @@ class Polynomial:
         while k < len(c) - 1 and c[k] == 0.0:
             k += 1
         object.__setattr__(self, "coeffs", c[k:])
+        known = self.known_roots if self.degree else self.known_roots or ()  # a constant has none
+        if known is not None and len(known) != self.degree:
+            raise ValueError(f"{len(known)} known roots for degree {self.degree}")
+        if known is not None:
+            object.__setattr__(self, "known_roots", tuple(map(complex, known)))
 
     @property
     def degree(self) -> int:
@@ -91,41 +96,32 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            return Polynomial(tuple(np.convolve(self.coeffs, other.coeffs)))
-        return self.scale(float(other))
+            both = self.known_roots is not None and other.known_roots is not None
+            known = self.known_roots + other.known_roots if both else None  # their union
+            return Polynomial(tuple(np.convolve(self.coeffs, other.coeffs)), known)
+        return Polynomial(tuple(c * float(other) for c in self.coeffs))
 
     __rmul__ = __mul__
 
-    def scale(self, k: float) -> "Polynomial":
-        return Polynomial(tuple(c * k for c in self.coeffs))
+    @cached_property
+    def roots(self) -> tuple[complex, ...]:
+        """Roots in the stored variable: the known roots, or solved once.
 
-    def roots(self, sampled: bool) -> tuple[complex, ...]:
-        """Roots in the stored variable, solved once per object and domain.
-
-        poly_roots solves the polynomial, and each root moves by one Newton
-        step where that lowers |p|: ``eigvals`` is backward stable in the norm
-        of the whole companion matrix, so with widely graded coefficients the
-        small roots carry errors of eps times the largest, and one step on
-        the polynomial itself removes them.  A sampled polynomial (in u = z - 1)
-        that vanishes at Nyquist, u = -2, to rounding
-        (|p(-2)| <= ulp(1)*sum|c_k|*2^k: the ZoH zero, which float block
-        products move by a few ulp) has its root nearest -2 put there.  The
-        roots are kept on this object, keyed by domain; a constant has none.
+        Without known roots, poly_roots solves the polynomial, and each root
+        moves by one Newton step where that lowers |p|: ``eigvals`` is
+        backward stable in the norm of the whole companion matrix, so with
+        widely graded coefficients the small roots carry errors of eps times
+        the largest, and one step on the polynomial itself removes them.
         """
-        cache = self.__dict__.setdefault("_roots", {})
-        if sampled in cache:
-            return cache[sampled]
-        roots = list(poly_roots(self)) if self.degree >= 1 else []
+        if self.known_roots is not None:
+            return self.known_roots
+        roots = list(poly_roots(self))
         slope = Polynomial(tuple(c * k for c, k in zip(self.coeffs, range(self.degree, 0, -1))))
         for i, r in enumerate(roots):
             res, d = self(r), slope(r)
             if d != 0.0 and abs(self(r - res / d)) < abs(res):
                 roots[i] = r - res / d
-        if sampled and roots:
-            if abs(self(-2.0)) <= math.ulp(1.0) * np.polyval(np.abs(self.coeffs), 2.0):
-                roots[min(range(len(roots)), key=lambda i: abs(roots[i] + 2.0))] = complex(-2.0)
-        cache[sampled] = tuple(roots)
-        return cache[sampled]
+        return tuple(roots)
 
 
 def poly_roots(p: Polynomial) -> tuple[complex, ...]:
@@ -191,14 +187,13 @@ class RationalTransferFunction:
         """(zeros, poles) in the stored variable: s, or u = z - 1.
 
         With each polynomial's lead they give it as lead * prod(x - r)
-        (factored_values); a constant has no roots.  Each comes from
-        Polynomial.roots in this system's domain, which solves a polynomial
-        object once per domain and keeps the roots on it: the S and T of a
+        (factored_values); a constant has no roots.  Each is the cached
+        Polynomial.roots, closed forms or one solve.  The S and T of a
         LoopSet share their polynomials with L (S.num is L.den, T.num is
-        L.num, and both denominators are L.chi), so no root of one loop is
-        solved twice.  Reading only the poles solves no zeros.
+        L.num, and both denominators are L.chi), so of a loop built from
+        blocks only chi is solved.  Reading only the poles solves no zeros.
         """
-        return self.num.roots(self.is_discrete), self.den.roots(self.is_discrete)
+        return self.num.roots, self.den.roots
 
     @cached_property
     def chi(self) -> Polynomial:
@@ -210,8 +205,7 @@ class RationalTransferFunction:
 
     def poles(self) -> tuple[complex, ...]:
         """Roots of the denominator: s, or z = 1 + u for a sampled system."""
-        poles = self.den.roots(self.is_discrete)
-        return poles if self.ts is None else tuple(1.0 + u for u in poles)
+        return self.den.roots if self.ts is None else tuple(1.0 + u for u in self.den.roots)
 
     def at_frequency(self, omega: float) -> complex:
         """Evaluate on the frequency contour: s = j*omega or z = exp(j*omega*ts).
@@ -228,28 +222,27 @@ class RationalTransferFunction:
         return complex(factored_values(self.num.lead, zeros, pt) / d)
 
     def __call__(self, point: complex) -> complex:
-        return tf_eval(self, point)
+        """Evaluate at s, or at z for a sampled system, by Horner's method.
 
-
-def tf_eval(tf: RationalTransferFunction, point: complex) -> complex:
-    """Evaluate tf at s, or at z for a sampled system, by Horner's method.
-
-    A sampled system is evaluated at its stored variable u = point - 1.
-    Refuses points where |den| falls below a relative threshold: evaluating
-    essentially on top of a pole would return noise, not data.
-    """
-    x = point - 1.0 if tf.is_discrete else point
-    d = tf.den(x)
-    scale = tf.den.max_abs * max(1.0, abs(x)) ** tf.den.degree
-    if abs(d) <= POLE_EVAL_TOL * scale:
-        raise ValueError(f"evaluation at pole: point={x!r}")
-    return tf.num(x) / d
+        A sampled system is evaluated at its stored variable u = point - 1.
+        Refuses points where |den| falls below a relative threshold:
+        evaluating essentially on top of a pole would return noise, not data.
+        """
+        x = point - 1.0 if self.is_discrete else point
+        d = self.den(x)
+        scale = self.den.max_abs * max(1.0, abs(x)) ** self.den.degree
+        if abs(d) <= POLE_EVAL_TOL * scale:
+            raise ValueError(f"evaluation at pole: point={x!r}")
+        return self.num(x) / d
 
 
 def tf_connect(
     a: RationalTransferFunction, b: RationalTransferFunction
 ) -> RationalTransferFunction:
-    """Series connection a*b by float polynomial products, no cancellation."""
+    """Series connection a*b by float polynomial products, no cancellation.
+
+    Where both factors carry their roots in closed form, so does the product.
+    """
     if a.ts != b.ts:
         raise ValueError(
             f"domain mismatch: cannot combine ts={a.ts!r} with ts={b.ts!r}"

@@ -686,13 +686,14 @@ def _recorded(monkeypatch, module, name: str) -> list:
 
 
 def test_one_solve_per_polynomial(monkeypatch):
-    # the verdict, the peak and a contour value all read the same S.factors
+    # the verdict, the peak and a contour value all read the same S.factors;
+    # S.num is L.den, whose roots the blocks carry, so only chi is solved
     calls = _recorded(monkeypatch, lti, "poly_roots")
     S = outer_loop_dt(DObParams(alpha=1.0, g_dob=500.0, ts=TS), SWEEP_GAINS).S
     assert is_stable(S).is_stable
     sensitivity_peak(S)
     S.at_frequency(100.0)
-    assert calls == [S.den, S.num]
+    assert calls == [S.den]
 
     # a bare verdict solves the denominator alone
     calls.clear()
@@ -700,8 +701,9 @@ def test_one_solve_per_polynomial(monkeypatch):
     assert is_stable(S).is_stable
     assert calls == [S.den]
 
-    # L, S and T of one LoopSet hold three polynomial objects, and the
-    # LoopSet that bode_integral builds again from L shares L's cached chi
+    # L, S and T of one LoopSet hold three polynomial objects, of which only
+    # chi is not a block product, and the LoopSet that bode_integral builds
+    # again from L shares L's cached chi
     calls.clear()
     ls = outer_loop_dt(DObParams(alpha=1.0, g_dob=500.0, ts=TS), SWEEP_GAINS)
     sensitivity_peak(ls.S)
@@ -709,16 +711,17 @@ def test_one_solve_per_polynomial(monkeypatch):
     assert ls.L.factors == (ls.T.factors[0], ls.S.factors[0])
     ls.st_response([1.0, 100.0])
     bode_integral(ls.L)
-    assert [id(p) for p in calls] == [id(ls.L.chi), id(ls.L.den), id(ls.L.num)]
+    assert [id(p) for p in calls] == [id(ls.L.chi)]
     assert ls.S.den is ls.T.den is ls.L.chi
 
 
-def test_design_point_makes_ten_root_solves(monkeypatch):
+def test_design_point_makes_six_root_solves(monkeypatch):
     # a library-study design point: four peaks, three Bode integrals, the
     # constraints, the outer-gain audit, a Tustin verdict, an alpha sweep and
-    # its crossing.  It made 15 solves while S.num, T.num and the chi of
-    # bode_integral's LoopSet were solved again; the sweep and the crossing
-    # solve bare pencil rows, not polynomial objects
+    # its crossing.  The open-loop polynomials carry their roots, so only the
+    # six closed-loop chi are solved: the four loops', the audit's and the
+    # Tustin loop's; the sweep and the crossing solve bare pencil rows, not
+    # polynomial objects
     calls = _recorded(monkeypatch, lti, "poly_roots")
     inner_z = _inner_dt(1.2)
     outer_z = _dt_alpha_build(0.9)
@@ -736,12 +739,12 @@ def test_design_point_makes_ten_root_solves(monkeypatch):
     flags = [row.stable for row in root_locus(_dt_alpha_build, values)]
     k = flags.index(False)
     critical_parameter(_dt_alpha_build, values[k - 1], values[k])
-    assert len(calls) == 10
+    assert len(calls) == 6
 
 
 def test_outer_dt_nyquist_zero_is_exact():
     # the ZoH zero of the sampled outer loop is z = -1 exactly, so T vanishes
-    # at Nyquist; the float block products leave it a few ulp off u = -2
+    # at Nyquist; the ZoH block carries it as u = -2 and the products keep it
     for ls in _random_stable_loops("outer-z", 40, seed=19):
         assert -2.0 in ls.T.factors[0]
         assert ls.T.at_frequency(ls.L.nyquist) == 0.0

@@ -523,6 +523,29 @@ def test_rootlocus_discrete_needs_ts(capsys):
     assert err == "error: --domain z needs --ts\n"
 
 
+@pytest.mark.parametrize("loop", ["inner", "outer"])
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["freq", "--points", "8"],
+        ["bode-integral"],
+        ["rootlocus", "--sweep", "alpha", "--start", "0.5", "--stop", "2", "--count", "4"],
+    ],
+    ids=["freq", "bode-integral", "rootlocus"],
+)
+def test_sampled_loops_refuse_finite_gv(capsys, extra, loop):
+    # the sampled loops model ideal velocity only, so --gv cannot be honoured;
+    # rootlocus names the sweep value at which the build failed
+    argv = [
+        extra[0], *extra[1:], "--domain", "z", "--loop", loop, "--alpha", "1",
+        "--gdob", "500", "--ts", "1e-3", "--kp", "1000", "--kd", "250", "--gv", "50",
+    ]
+    rc, out, err = _run(capsys, argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.endswith(": the sampled loops assume ideal velocity; finite g_v is not modelled\n")
+
+
 # ----------------------------------------------------------------- simulate
 
 

@@ -13,7 +13,7 @@ from doblab.discretize import (
     zoh_double_integrator,
 )
 from doblab.loops import inner_loop_ct, inner_loop_dt, outer_loop_ct
-from doblab.lti import Polynomial, RationalTransferFunction, tf_eval
+from doblab.lti import Polynomial, RationalTransferFunction
 from doblab.params import DObParams, OuterGains
 
 
@@ -72,12 +72,12 @@ def test_pd_pure_proportional():
     tf = backward_euler_pd(OuterGains(kp=1000.0, kd=0.0), 0.001)
     assert tf.num.coeffs == (1000.0,)
     assert tf.den.coeffs == (1.0,)
-    assert tf_eval(tf, 0.0) == 1000.0  # no leftover pole at z = 0
+    assert tf(0.0) == 1000.0  # no leftover pole at z = 0
 
 
 def test_pd_dc_value_is_kp():
     tf = backward_euler_pd(OuterGains(kp=123.0, kd=45.0), 0.01)
-    assert tf_eval(tf, 1.0) == pytest.approx(123.0, rel=1e-15)
+    assert tf(1.0) == pytest.approx(123.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,7 @@ def test_forward_euler_reproduces_native_inner_loop():
 def test_tustin_of_constant_is_constant():
     one = RationalTransferFunction(Polynomial((1.0,)), Polynomial((1.0,)))
     out = substitute(one, 1e-3, DiscretizationRule.TUSTIN)
-    assert tf_eval(out, 0.7) == pytest.approx(1.0, rel=1e-15)
+    assert out(0.7) == pytest.approx(1.0, rel=1e-15)
     assert out.num.coeffs == out.den.coeffs
 
 
@@ -136,11 +136,11 @@ def test_dc_gain_preserved_without_origin_pole():
     rules = (DiscretizationRule.BACKWARD_EULER, DiscretizationRule.TUSTIN)
     for _ in range(200):
         tf_s = _draw_origin_pole_free(rng)
-        dc_s = tf_eval(tf_s, 0.0)
+        dc_s = tf_s(0.0)
         for ts in (4.0, 1.0, 0.25):
             for rule in rules:
                 tf_z = substitute(tf_s, ts, rule)
-                dc_z = tf_eval(tf_z, 1.0)
+                dc_z = tf_z(1.0)
                 assert abs(dc_z - dc_s) <= 1e-12 * max(1.0, abs(dc_s))
 
 
@@ -152,10 +152,10 @@ def test_dc_drift_at_small_ts_is_pure_cancellation():
     worst = 0.0
     for _ in range(200):
         tf_s = _draw_origin_pole_free(rng)
-        dc_s = tf_eval(tf_s, 0.0)
+        dc_s = tf_s(0.0)
         for rule in rules:
             tf_z = substitute(tf_s, 1e-3, rule)
-            dc_z = tf_eval(tf_z, 1.0)
+            dc_z = tf_z(1.0)
             worst = max(worst, abs(dc_z - dc_s) / max(1.0, abs(dc_s)))
     assert worst < 1e-6
 

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doblab.discretize import backward_euler_pd, zoh_double_integrator
 from doblab.lti import (
     Polynomial,
     RationalTransferFunction,
@@ -16,7 +17,6 @@ from doblab.lti import (
     contour_points,
     is_stable,
     poly_roots,
-    tf_eval,
 )
 from doblab.loops import (
     LoopSet,
@@ -171,8 +171,8 @@ def test_outer_ct_finite_gv_parallel_decomposition():
     rng = np.random.Generator(np.random.PCG64(3))
     for _ in range(25):
         z = complex(rng.uniform(-3, 3), rng.uniform(0.1, 3)) * 100.0
-        lhs = tf_eval(whole, z)
-        rhs = tf_eval(inner, z) + tf_eval(branch, z)
+        lhs = whole(z)
+        rhs = inner(z) + branch(z)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -450,7 +450,66 @@ def test_st_response_against_mpmath_on_random_loops(builder):
         _assert_s_plus_t_is_one(s_vals, t_vals)
 
 
+# -------------------------------------------------------- closed-form roots
+
+
+def _oracle_roots(p: Polynomial) -> list:
+    """50-digit roots of p's own coefficients; exact trailing zeros are roots at 0."""
+    coeffs = list(p.coeffs)
+    zeros = []
+    while len(coeffs) > 1 and coeffs[-1] == 0.0:
+        coeffs.pop()
+        zeros.append(mpmath.mpf(0))
+    rest = mpmath.polyroots(coeffs, maxsteps=400, extraprec=200) if len(coeffs) > 1 else []
+    return zeros + list(rest)
+
+
+def test_stated_roots_match_the_coefficients():
+    # every block and builder states the roots of its own literal coefficients:
+    # the single blocks to a few ulp, the float products of outer_loop_dt to
+    # their conditioning (worst 6.6e-14 relative on 300 such draws)
+    rtol = 1e-12
+    rng = np.random.Generator(np.random.PCG64(53))
+    with mpmath.workdps(50):
+        for _ in range(100):
+            def lg(lo, hi):
+                return float(10.0 ** rng.uniform(lo, hi))
+
+            ts = float(rng.choice([1e-4, 1e-3, 1e-2]))
+            alpha, g, gv = lg(-2, 1), lg(1, 4), lg(2, 4)
+            gains = OuterGains(kp=lg(1, 3.5), kd=float(rng.choice([0.0, lg(0, 2.5)])))
+            pz = DObParams(alpha=alpha, g_dob=g, ts=ts)
+            ideal, filtered = DObParams(alpha=alpha, g_dob=g), DObParams(alpha=alpha, g_dob=g, g_v=gv)
+            tfs = [
+                zoh_double_integrator(lg(-1, 1), ts),
+                backward_euler_pd(gains, ts),
+                ci_compensator_dt(pz).tf,
+                inner_loop_dt(pz).L,
+                inner_loop_ct(ideal).L,
+                inner_loop_ct(filtered).L,
+                outer_loop_dt(pz, gains).L,
+            ]
+            polys = [q for tf in tfs for q in (tf.num, tf.den)]
+            polys += [outer_loop_ct(ideal, gains).L.den, outer_loop_ct(filtered, gains).L.den]
+            for poly in polys:
+                assert poly.known_roots is not None
+                assert poly.roots is poly.known_roots
+                pool = _oracle_roots(poly)
+                for r in poly.known_roots:
+                    j = min(range(len(pool)), key=lambda i: abs(pool[i] - r))
+                    want = pool.pop(j)
+                    assert abs(mpmath.mpc(r) - want) <= rtol * abs(want), (poly, r, want)
+
+
 # ---------------------------------------------------------------- guards
+
+
+def test_sampled_builders_refuse_finite_gv():
+    p = DObParams(alpha=1.0, g_dob=500.0, g_v=50.0, ts=1e-3)
+    with pytest.raises(ValueError, match="finite g_v is not modelled"):
+        inner_loop_dt(p)
+    with pytest.raises(ValueError, match="finite g_v is not modelled"):
+        outer_loop_dt(p, SWEEP_GAINS)
 
 
 def test_from_open_loop_rejects_improper():

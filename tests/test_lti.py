@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doblab import lti
 from doblab.loops import LoopSet
 from doblab.lti import (
     BOUNDARY_TOL,
@@ -21,7 +22,6 @@ from doblab.lti import (
     poly_roots,
     stable_rows,
     tf_connect,
-    tf_eval,
 )
 
 
@@ -154,15 +154,59 @@ def test_roots_from_roots_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# tf_eval / tf_connect
+# known roots
+
+
+def test_known_roots_must_number_the_degree():
+    with pytest.raises(ValueError, match="1 known roots for degree 2"):
+        Polynomial((1.0, 0.0, 0.0), (0.0,))
+    with pytest.raises(ValueError, match="known roots"):
+        Polynomial((2.0,), (1.0,))
+    # the degree is counted after exact leading zeros are stripped
+    with pytest.raises(ValueError, match="known roots"):
+        Polynomial((0.0, 1.0, 1.0), (-1.0, -1.0))
+    assert Polynomial((0.0, 1.0, 1.0), (-1.0,)).roots == (-1.0,)
+    # a constant knows it has no roots; the known roots are not compared
+    assert Polynomial((3.0,)).known_roots == ()
+    assert Polynomial((1.0, 2.0), (-2.0,)) == Polynomial((1.0, 2.0))
+
+
+def _counted_solves(monkeypatch) -> list:
+    calls = []
+    solve = lti.poly_roots
+    monkeypatch.setattr(lti, "poly_roots", lambda p: calls.append(p) or solve(p))
+    return calls
+
+
+def test_known_times_known_is_the_union_unsolved(monkeypatch):
+    calls = _counted_solves(monkeypatch)
+    a = Polynomial((1.0, 2.0), (-2.0,))
+    b = Polynomial((1.0, 1.0, 0.0), (-1.0, 0.0))
+    prod = a * b
+    assert prod.coeffs == tuple(np.convolve(a.coeffs, b.coeffs))
+    assert prod.roots == (-2.0, -1.0, 0.0)
+    assert calls == []
+
+
+def test_known_times_unknown_is_solved(monkeypatch):
+    calls = _counted_solves(monkeypatch)
+    prod = Polynomial((1.0, 2.0), (-2.0,)) * Polynomial((1.0, 1.0, 0.0))
+    assert prod.known_roots is None
+    _match_root_sets(prod.roots, (-2.0, -1.0, 0.0), 1e-15)
+    assert prod.roots is prod.roots  # solved once, then cached
+    assert calls == [prod]
+
+
+# ---------------------------------------------------------------------------
+# calling a system / tf_connect
 
 
 def test_eval_zero_at_unit():
-    assert tf_eval(s_i(0.5), 1.0) == 0.0
+    assert s_i(0.5)(1.0) == 0.0
 
 
 def test_eval_nyquist_point_value():
-    val = tf_eval(s_i(0.5), -1.0)
+    val = s_i(0.5)(-1.0)
     assert val == pytest.approx(4.0 / 3.0, rel=1e-15)
 
 
@@ -173,22 +217,22 @@ def test_eval_matches_brute_force_cubic():
     z = 2.0
     brute_n = sum(c * z ** k for k, c in enumerate(reversed(num.coeffs)))
     brute_d = sum(c * z ** k for k, c in enumerate(reversed(den.coeffs)))
-    assert tf_eval(tf, z) == pytest.approx(brute_n / brute_d, rel=1e-15)
+    assert tf(z) == pytest.approx(brute_n / brute_d, rel=1e-15)
 
 
 def test_eval_refuses_pole():
     with pytest.raises(ValueError, match="evaluation at pole"):
-        tf_eval(s_i(0.5), 0.5)
+        s_i(0.5)(0.5)
 
 
 def test_at_frequency_refuses_only_an_exact_pole():
-    # tf_eval refuses within POLE_EVAL_TOL of a pole; the factored form is
+    # a call refuses within POLE_EVAL_TOL of a pole; the factored form is
     # exact there, so at_frequency gives S = -2/(-1e-12) next to the pole
     nyq = math.pi / 1e-3
     with pytest.raises(ValueError, match=r"evaluation at pole: omega=3141\.59"):
         s_i(2.0).at_frequency(nyq)
     with pytest.raises(ValueError, match="evaluation at pole"):
-        tf_eval(s_i(2.0 - 1e-12), -1.0)
+        s_i(2.0 - 1e-12)(-1.0)
     assert s_i(2.0 - 1e-12).at_frequency(nyq) == pytest.approx(2e12, rel=1e-3)
 
 
