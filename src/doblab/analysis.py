@@ -21,6 +21,7 @@ import numpy as np
 from scipy.integrate import quad  # noqa: F401  (uncalled; bench/ still times and patches it)
 
 from .lti import (
+    BOUNDARY_TOL,
     RationalTransferFunction,
     Stability,
     classify_roots,
@@ -68,10 +69,6 @@ QUAD_ERROR_CEILING = 1e-4
 # matches it to this relative tolerance (of the largest coefficient); the
 # CLI's sweeps match to about 3e-16.
 PENCIL_RTOL = 1e-12
-
-# critical_parameter accepts a solved crossing v when the verdicts at
-# v -+ CROSSING_RTOL*|v| differ: well inside its 1e-6 relative contract.
-CROSSING_RTOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +131,9 @@ def _peak_grid(end: float, roots, discrete: bool) -> np.ndarray:
 
     A root's anchors are its position pos and pos +- dist*2^k for k from -3
     until the offset passes end, so its peak is resolved at every scale from
-    dist/8 up.
+    dist/8 up.  A point within 1e-12 (relative) below the next is dropped:
+    two nearly equal roots give anchors an ulp apart, and a maximum
+    bracketed by its twin could not be refined past it.
     """
     pos, dist = np.array(_contour_positions(roots, discrete), dtype=float).reshape(-1, 2).T
     positive = dist[dist > 0.0]
@@ -143,7 +142,8 @@ def _peak_grid(end: float, roots, discrete: bool) -> np.ndarray:
     pts = np.concatenate(
         [[0.0, end], pos, (pos[:, None] - offsets).ravel(), (pos[:, None] + offsets).ravel()]
     )
-    return np.unique(pts[(pts >= 0.0) & (pts <= end)])
+    grid = np.unique(pts[(pts >= 0.0) & (pts <= end)])
+    return grid[np.append(np.diff(grid) > 1e-12 * grid[1:], True)]
 
 
 def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
@@ -709,39 +709,35 @@ def root_locus(
 
 @functools.lru_cache(maxsize=None)
 def _contour_map(n: int, discrete: bool) -> np.ndarray:
-    """Matrix taking a degree-n polynomial p (in s, or u = z - 1) to its form on the contour.
+    """Matrix taking a degree-n polynomial p (in s, or u = z - 1) to its form on the band edge.
 
-    The result's coefficients are in the contour's real variable t.  In s
-    that is p(jt).  In z it is (1 - jt)^n p(u) at u = 2jt/(1 - jt), that is
-    z = (1 + jt)/(1 - jt): the unit circle is the real line t = tan(theta/2),
-    z = 1 is t = 0, and z = -1 lies at t = inf.  Each entry is a real times a
-    power of j, so the product with real coefficients keeps every term purely
-    real or purely imaginary.
+    The band edge is where is_stable's verdict flips; the form is in its real
+    variable t.  In s it is p(jt - BOUNDARY_TOL): column i is
+    (jt - BOUNDARY_TOL)^(n-i).  In z, with r = 1 - BOUNDARY_TOL, it is
+    (1 - jt)^n p(u) at z = r(1 + jt)/(1 - jt), t = tan(theta/2): column i is
+    ((r - 1) + j(r + 1)t)^(n-i) (1 - jt)^i, z = r is t = 0 and z = -r is
+    t = inf.  The coefficient of t^k is a real times j^k.
     """
-    jpow = np.array([1.0, 1j, -1.0, -1j])
-    if discrete:
-        m = np.zeros((n + 1, n + 1), dtype=complex)
-        for i in range(n + 1):  # column i: (2jt)^(n-i) (1 - jt)^i
-            for k in range(i + 1):
-                m[k, i] = 2.0 ** (n - i) * math.comb(i, k) * jpow[(n - i + 3 * (i - k)) % 4]
-    else:
-        m = np.diag(jpow[np.arange(n, -1, -1) % 4])
+    r = 1.0 - BOUNDARY_TOL
+    top, rest = ([1j * (r + 1), r - 1], [-1j, 1]) if discrete else ([1j, -BOUNDARY_TOL], [0, 1])
+    m = np.array([functools.reduce(np.convolve, [top] * (n - i) + [rest] * i, [1 + 0j])
+                  for i in range(n + 1)]).T
     m.flags.writeable = False  # one array per degree and domain, shared by every call
     return m
 
 
 def _crossings(a: np.ndarray, b: np.ndarray, ts: float | None, lo: float, hi: float):
-    """Sorted candidate values v in [lo, hi] where a root of a + v*b meets the boundary.
+    """Sorted candidate values v in [lo, hi] where a root of a + v*b meets the band edge.
 
-    A root x of a + v*b lies on the boundary exactly when a(x)*conj(b(x)) is
-    real there, and then v = -a(x)/b(x).  With A and B the polynomials on the
-    contour's real variable t (_contour_map), that is where the real
-    polynomial q(t) = Im(A(t)*conj(B(t))) vanishes.  q always vanishes at
-    DC, t = 0, and in z at Nyquist, t = inf; these are taken as they are, and
-    the rest of q is solved once.  Each real root of q (to 1e-6) is put on
-    the contour (at |t|, or the angle 2*atan|t|) and mapped to v.  Rounding
-    and pairs of roots near the contour give spurious values, so a caller
-    verifies each.
+    A root x lies on the edge exactly when a(x)*conj(b(x)) is real there,
+    and then v = -a(x)/b(x).  With A and B the forms on the edge's real
+    variable t (_contour_map), that is where q(t) = Im(A(t)*conj(B(t)))
+    vanishes.  q always vanishes at the real points, t = 0 and in z t = inf,
+    which are taken as they are; the rest of q is solved once.  Each real root
+    of q (to 1e-6) gives the edge point r*contour_points(x) - BOUNDARY_TOL
+    (x = |t| and r = 1 in s, x = 2*atan|t| in z) and then v.  Rounding and
+    pairs of roots near the edge give spurious values, so a caller checks
+    the verdict between candidates.
     """
     discrete = ts is not None
     ab = np.array([a, b]).T
@@ -751,7 +747,8 @@ def _crossings(a: np.ndarray, b: np.ndarray, ts: float | None, lo: float, hi: fl
     t = stacked_roots(q[None, :])[0] if len(q) > 1 else np.empty(0, dtype=complex)
     t = np.abs(t.real[np.abs(t.imag) <= 1e-6 * np.maximum(1.0, np.abs(t))])
     x = np.concatenate([[0.0, math.pi], 2.0 * np.arctan(t)] if discrete else [[0.0], t])
-    p = contour_points(x, discrete)
+    r = 1.0 - BOUNDARY_TOL if discrete else 1.0
+    p = r * contour_points(x, discrete) - BOUNDARY_TOL
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v = (-np.polyval(a, p) / np.polyval(b, p)).real
     return np.unique(v[(lo <= v) & (v <= hi)])
@@ -767,35 +764,28 @@ def critical_parameter(
     The endpoints must give opposite closed-loop verdicts.  When chi is affine
     in the parameter, only the probe values of _affine_pencil (lo, the
     midpoint and hi) are built, so build_loop must be defined over the whole
-    bracket, and the crossings are solved for (D-decomposition): _crossings
-    gives the candidate values, and one stacked solve gives the verdicts at
-    lo, hi and each candidate v -+ CROSSING_RTOL*|v|.  The lowest candidate
-    whose verdicts differ is returned, a root on the boundary exactly, if the
-    verdict below it is lo's.  Otherwise (a builder that is not a pencil, no
-    candidate verified, or one missed below) the bracket is bisected to a
-    relative width of 1e-6 and its midpoint returned.
+    bracket.  _crossings then gives the values where a root meets the band
+    edge (D-decomposition), and one stacked solve the verdicts at lo, hi and
+    the midpoint of each interval between them.  Unless the first interval
+    carries lo's verdict and the last hi's, a crossing was missed and
+    RuntimeError is raised; else the first value that ends lo's verdict is
+    returned.  Any other builder is bisected to a relative width of 1e-6.
     """
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     pencil = _affine_pencil(build_loop, (lo, 0.5 * (lo + hi), hi))
-    cands = _crossings(*pencil, lo, hi).tolist() if pencil is not None else []
-    sides = [w for v in cands for w in (v - CROSSING_RTOL * abs(v), v + CROSSING_RTOL * abs(v))]
-    flags = _closed_loop_roots(build_loop, pencil, [lo, hi, *sides])[1]
-    s_lo = flags[0]
+    ends = [lo, *_crossings(*pencil, lo, hi).tolist(), hi] if pencil is not None else []
+    mids = [0.5 * (v0 + v1) for v0, v1 in zip(ends[:-1], ends[1:])]
+    flags = _closed_loop_roots(build_loop, pencil, [lo, hi, *mids])[1]
+    s_lo, inside = flags[0], flags[2:]
     if s_lo == flags[1]:
         raise ValueError("bracket endpoints give the same stability verdict")
-    flips = [(v, lo_side) for v, lo_side, hi_side in zip(cands, flags[2::2], flags[3::2])
-             if lo_side != hi_side]
-    if flips and flips[0][1] == s_lo:
-        return flips[0][0]
-
-    def stable_at(v: float) -> bool:
-        return _closed_loop_roots(build_loop, pencil, [v])[1][0]
-
+    if pencil is not None:
+        if inside[0] != s_lo or inside[-1] == s_lo:
+            raise RuntimeError("a crossing of the stability boundary was missed")
+        return ends[inside.index(not s_lo)]
     while hi - lo > 1e-6 * max(abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
-        if stable_at(mid) == s_lo:
-            lo = mid
-        else:
-            hi = mid
+        stays = _closed_loop_roots(build_loop, None, [mid])[1][0] == s_lo
+        lo, hi = (mid, hi) if stays else (lo, mid)
     return 0.5 * (lo + hi)

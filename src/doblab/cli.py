@@ -44,6 +44,9 @@ def _outer_gains(args) -> OuterGains:
 def _is_discrete(args) -> bool:
     if args.domain == "z" and args.ts is None:
         raise ValueError("--domain z needs --ts")
+    if args.domain == "z" and math.isfinite(args.gv):
+        raise ValueError("--domain z takes no finite --gv: the sampled loops assume ideal"
+                         " velocity; finite g_v is not modelled")
     return args.domain == "z"
 
 
@@ -118,7 +121,7 @@ def _cmd_rootlocus(args) -> int:
     else:
         values = np.linspace(args.start, args.stop, args.count)
 
-    # a missing --ts is a usage error, not a failure at the first sweep value
+    # --domain z without --ts or with a finite --gv is a usage error, not a sweep failure
     _is_discrete(args)
     table = root_locus(lambda v: _build_loops(args, **{args.sweep: v}), values)
     n_roots = len(table.rows[0].roots)

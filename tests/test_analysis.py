@@ -611,6 +611,28 @@ def test_sensitivity_peak_narrow_low_frequency_resonance():
     assert abs(omega / w_blocks - 1) <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "p, gains, lo, hi",
+    [
+        (DObParams(alpha=3.277204450776134, g_dob=109.53453596946274, g_v=63411.23272436881),
+         OuterGains(kp=0.062187597430507696, kd=4831.108025794936), 200.0, 900.0),
+        (DObParams(alpha=0.5851443958269975, g_dob=0.3571931460905942, g_v=107593.57081609155),
+         OuterGains(kp=0.016153805223448597, kd=8620.308185070462), 2.0, 10.0),
+    ],
+    ids=["ulp-apart", "few-ulp-apart"],
+)
+def test_sensitivity_peak_beside_nearly_equal_roots(p, gains, lo, hi):
+    # T has a zero and a pole a few ulp apart (-1.2872326030418627e-05 and
+    # -1.2872326030418625e-05 in the first case); their grid anchors were
+    # kept an ulp apart, and a maximum bracketed by its twin was reported
+    # 8.1e-8 (and 4.3e-8) below the true one
+    tf = outer_loop_ct(p, gains).T
+    omega, peak = sensitivity_peak(tf)
+    w_max = _mp_golden_max(lambda w: _mp_magnitude(tf, w), lo, hi)
+    want = _mp_magnitude(tf, w_max)
+    assert abs(peak - want) <= 1e-12 * want, (omega, peak, w_max, want)
+
+
 def _mp_blocks_s(p: DObParams, gains: OuterGains):
     """30-digit |S| of outer_loop_dt at omega, from the printed factored z blocks."""
 
@@ -1197,7 +1219,7 @@ def test_critical_parameter_inner_loop_on_the_pencil(g_dob, ts):
     exact = 2.0 / (g_dob * ts)
     crit = critical_parameter(counted, 0.5 * exact, 3.0 * exact)
     assert counted.calls == 3
-    # the returned midpoint of a 1e-6 relative bracket around alpha*g*ts = 2
+    # the band-edge crossing, 5e-10 relative from alpha*g*ts = 2
     assert abs(crit - exact) <= 1e-6 * crit
 
 
@@ -1282,10 +1304,13 @@ def test_critical_parameter_on_a_pencil_makes_two_solves(monkeypatch, build, lo,
     "g_dob, ts", [(1000.0, 1e-3), (750.0, 1e-4), (3e4, 1e-4), (123.456, 3.7e-3), (7.0, 0.011)]
 )
 def test_critical_parameter_inner_loop_is_the_exact_crossing(g_dob, ts):
-    # the closed-loop pole 1 - alpha*g_dob*ts reaches z = -1, solved by sympy
-    # on the exact binary values of g_dob and ts
+    # the closed-loop pole 1 - alpha*g_dob*ts reaches the band edge z = -r,
+    # r = 1 - BOUNDARY_TOL, where is_stable's verdict flips; solved by sympy
+    # on the exact binary values of g_dob, ts and BOUNDARY_TOL.  The boundary
+    # z = -1 itself lies 5e-10 relative away
     alpha = sympy.Symbol("alpha")
-    (exact,) = sympy.solve(1 - alpha * sympy.Rational(g_dob) * sympy.Rational(ts) + 1, alpha)
+    edge = -(1 - sympy.Rational(BOUNDARY_TOL))
+    (exact,) = sympy.solve(1 - alpha * sympy.Rational(g_dob) * sympy.Rational(ts) - edge, alpha)
     exact = float(exact)
 
     def build(a: float) -> LoopSet:
@@ -1332,17 +1357,32 @@ def test_critical_parameter_on_a_vanishing_crossing_polynomial(monkeypatch):
     with pytest.raises(ValueError, match="same stability verdict"):
         critical_parameter(build, -1.0, 2.0)
     # so a vanishing q is forced on a flipping pencil: with no candidate the
-    # bracket is bisected, one stacked solve per verdict
+    # one interval cannot carry both endpoint verdicts, and nothing is bisected
     monkeypatch.setattr(analysis, "_crossings", lambda *args: np.empty(0))
-    calls = _stacked_solves(monkeypatch)
-    crit = critical_parameter(_dt_alpha_build, 1.0, 5.0)
-    assert len(calls) > 10
-    assert abs(crit - _bisect_per_point(_dt_alpha_build, 1.0, 5.0)) <= 1e-6 * crit
+    with pytest.raises(RuntimeError, match="crossing .* was missed"):
+        critical_parameter(_dt_alpha_build, 1.0, 5.0)
+
+
+@pytest.mark.parametrize("lo, gap", [(4.0, (4.0, 5.5)), (1.0, (8.0, 12.0))], ids=["first", "last"])
+def test_critical_parameter_refuses_a_dropped_crossing(monkeypatch, lo, gap):
+    # _three_crossings flips near 4.8, 6 and 10.2: without the first, the
+    # first interval of [4, 12] is [4, 6], and its midpoint 5 is unstable,
+    # not lo's verdict; without the last, the last interval's midpoint 9 is
+    # stable, not hi's
+    solved = analysis._crossings
+
+    def dropping(*args):
+        v = solved(*args)
+        return v[(v < gap[0]) | (v > gap[1])]
+
+    monkeypatch.setattr(analysis, "_crossings", dropping)
+    with pytest.raises(RuntimeError, match="crossing .* was missed"):
+        critical_parameter(_three_crossings, lo, 12.0)
 
 
 def _slow_crossing(v: float) -> LoopSet:
-    # chi = s + 1e-3 (v - 1) crosses at v = 1, but its root leaves the
-    # BOUNDARY_TOL band only at v = 1 + 1e-6
+    # chi = s + 1e-3 (v - 1) crosses the boundary at v = 1, but its root
+    # leaves the BOUNDARY_TOL band only at v = 1 + 1e-6
     L = RationalTransferFunction(Polynomial((1e-3 * v,)), Polynomial((1.0, -1e-3)))
     return LoopSet.from_open_loop(L)
 
@@ -1351,11 +1391,70 @@ def _slow_crossing(v: float) -> LoopSet:
     "build, lo, hi", [(_slow_crossing, 0.5, 2.0), (_dt_gdob_build, 100.0, 1000.0)],
     ids=["slow-s", "outer-z-gdob"],
 )
-def test_critical_parameter_bisects_a_crossing_that_does_not_verify(monkeypatch, build, lo, hi):
-    # the verdict flips more than CROSSING_RTOL from the crossing itself, so
-    # the crossing does not verify and the verdict flip is bisected; on the
-    # sampled outer loop the crossing at g_dob 159.446 is such a slow one
+def test_critical_parameter_solves_a_slow_crossing_at_the_band_edge(monkeypatch, build, lo, hi):
+    # the verdict flips far from the boundary crossing, where the root leaves
+    # the band; the band edge is solved for, so two stacked solves still do.
+    # On the sampled outer loop the crossing at g_dob 159.446 is such a slow one
     calls = _stacked_solves(monkeypatch)
     crit = critical_parameter(build, lo, hi)
-    assert len(calls) > 10
+    assert len(calls) <= 2
     assert abs(crit - _bisect_per_point(build, lo, hi)) <= 1e-6 * crit
+
+
+def _random_brackets(count: int, seed: int) -> list:
+    """(build, lo, hi) of count brackets across a verdict flip, five sweep kinds in turn.
+
+    Log-uniform parameters; each bracket is the first flip of a 40-value
+    geometric root_locus sweep.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def log_uniform(lo, hi):
+        return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
+
+    def sweep(kind, alpha, g_dob, ts, g_v, gains):
+        return [
+            lambda v: outer_loop_dt(DObParams(v, g_dob, ts=ts), gains),
+            lambda v: outer_loop_dt(DObParams(alpha, v, ts=ts), gains),
+            lambda v: outer_loop_ct(DObParams(v, g_dob, g_v=g_v), gains),
+            lambda v: outer_loop_ct(DObParams(alpha, v, g_v=g_v), gains),
+            lambda v: inner_loop_dt(DObParams(v, g_dob, ts=ts)),
+        ][kind]
+
+    brackets = []
+    while len(brackets) < count:
+        kind = len(brackets) % 5
+        gains = OuterGains(kp=log_uniform(1.0, 1e5), kd=log_uniform(0.01, 1e3))
+        build = sweep(
+            kind, log_uniform(0.1, 10.0), log_uniform(1.0, 1e4),
+            log_uniform(1e-5, 1e-2), log_uniform(10.0, 1e5), gains,
+        )
+        values = np.geomspace(1e-3, 1e3, 40) if kind in (0, 2, 4) else np.geomspace(0.1, 1e6, 40)
+        flags = [row.stable for row in root_locus(build, values)]
+        k = next((i for i in range(len(values) - 1) if flags[i] != flags[i + 1]), None)
+        if k is not None:
+            brackets.append((build, float(values[k]), float(values[k + 1])))
+    return brackets
+
+
+def test_critical_parameter_is_where_is_stable_flips_on_seeded_brackets(monkeypatch):
+    # within 1e-9 relative on either side is_stable gives lo's and hi's
+    # verdicts; the 1e-6 contract alone would allow 5e-7
+    calls = _stacked_solves(monkeypatch)
+    for build, lo, hi in _random_brackets(60, seed=5):
+        calls.clear()
+        crit = critical_parameter(build, lo, hi)
+        assert len(calls) <= 2
+        assert [_verdict(build, v) for v in (crit * (1 - 1e-9), crit * (1 + 1e-9))] == [
+            _verdict(build, lo), _verdict(build, hi)
+        ], (lo, hi, crit)
+
+
+def test_critical_parameter_bisects_a_builder_that_is_not_a_pencil():
+    # alpha = v*v makes chi quadratic in v, so _affine_pencil rejects it
+    def build(v: float) -> LoopSet:
+        return _dt_alpha_build(v * v)
+
+    lo, hi = 1.0, math.sqrt(5.0)
+    assert analysis._affine_pencil(build, (lo, 0.5 * (lo + hi), hi)) is None
+    assert critical_parameter(build, lo, hi) == _bisect_per_point(build, lo, hi)

@@ -197,6 +197,21 @@ def test_freq_dc_row_with_tiny_gain(capsys, alpha):
     assert rows[0] == ["0", "0", "0", "1", "0"]
 
 
+def test_freq_refuses_an_open_loop_gain_that_underflows(capsys):
+    # at alpha 5e-324 the numerator of the sampled outer loop rounds to zero
+    rc, out, err = _run(
+        capsys,
+        [
+            "freq", "--domain", "z", "--loop", "outer", "--alpha", "5e-324", "--gdob", "1e-3",
+            "--ts", "1e-3", "--kp", "1000", "--kd", "250", "--points", "4",
+        ],
+    )
+    assert (rc, out) == (1, "")
+    assert err == (
+        "error: open-loop gain alpha*(kp + kd/ts)*(1 + g_dob*ts)*ts^2/2 underflows to zero\n"
+    )
+
+
 def test_freq_refuses_pole_on_nyquist(capsys):
     # x = 2 puts the inner loop's closed-loop pole at z = -1
     rc, out, err = _run(
@@ -535,7 +550,8 @@ def test_rootlocus_discrete_needs_ts(capsys):
 )
 def test_sampled_loops_refuse_finite_gv(capsys, extra, loop):
     # the sampled loops model ideal velocity only, so --gv cannot be honoured;
-    # rootlocus names the sweep value at which the build failed
+    # every subcommand refuses it up front as a usage error, so rootlocus
+    # names no sweep value
     argv = [
         extra[0], *extra[1:], "--domain", "z", "--loop", loop, "--alpha", "1",
         "--gdob", "500", "--ts", "1e-3", "--kp", "1000", "--kd", "250", "--gv", "50",
@@ -544,6 +560,7 @@ def test_sampled_loops_refuse_finite_gv(capsys, extra, loop):
     assert (rc, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert err.endswith(": the sampled loops assume ideal velocity; finite g_v is not modelled\n")
+    assert "parameter" not in err and "0.5" not in err, err
 
 
 # ----------------------------------------------------------------- simulate
@@ -645,6 +662,65 @@ def test_simulate_rejects_bad_header(tmp_path, capsys):
     rc, _, err = _run(capsys, ["simulate", "--scenario", str(cfg)])
     assert rc == 1
     assert "header must be t,q_ref" in err
+
+
+TRAJECTORY_BASE = """
+jm = 0.003
+kt = 0.25
+alpha = 1.0
+gdob = 5000
+ts = 1e-4
+reference = trajectory
+trajectory_csv = traj.csv
+duration = 2e-4
+"""
+
+SIMULATE = ["simulate", "--scenario", "{cfg}"]
+
+
+@pytest.mark.parametrize(
+    "argv, scenario, trajectory, want",
+    [
+        (["freq", "--domain", "s", "--loop", "inner", "--alpha", "1", "--gdob", "500",
+          "--wmin", "10", "--wmax", "1"], None, None,
+         "error: frequency range needs 0 < --wmin < --wmax"),
+        ([*LOCUS_ARGS[:-1], "1"], None, None, "error: --count must be at least 2"),
+        (SIMULATE, SERVO_BASE + "warp\n", None, "error: {cfg}:12: expected key = value"),
+        (SIMULATE, SERVO_BASE + "jm = 0.004\n", None,
+         "error: {cfg}:12: duplicate scenario key: jm"),
+        (SIMULATE, SERVO_BASE.replace("jm = 0.003\n", ""), None,
+         "error: scenario is missing required key: jm"),
+        (SIMULATE, SERVO_BASE + "load = 0.004\n", None,
+         "error: load entry must look like t:torque, got '0.004'"),
+        (SIMULATE, TRAJECTORY_BASE, None, "error: trajectory file not found: {traj}"),
+        (SIMULATE, TRAJECTORY_BASE, "t,q_ref\n0,0.5\n\n1e-4,0.25\n", ["0.5", "0.25"]),
+        (SIMULATE, TRAJECTORY_BASE, "t,q_ref\n0\n", "error: {traj}: each row needs t and q_ref"),
+        (SIMULATE, TRAJECTORY_BASE, "0,0.5\n1e-4,0.25\n", ["0.5", "0.25"]),
+        (SIMULATE, SERVO_BASE.replace("reference = step", "reference = ramp"), None,
+         "error: reference must be step or trajectory, got 'ramp'"),
+    ],
+    ids=[
+        "freq-range", "rootlocus-count", "scenario-no-equals", "scenario-duplicate-key",
+        "scenario-missing-key", "scenario-bad-load", "trajectory-not-found",
+        "trajectory-blank-row-skipped", "trajectory-one-cell", "trajectory-headerless",
+        "scenario-unknown-reference",
+    ],
+)
+def test_cli_input_checks(tmp_path, capsys, argv, scenario, trajectory, want):
+    # want is the whole error stream of a refusal, or the q_ref column of a run
+    cfg, traj = tmp_path / "run.cfg", tmp_path / "traj.csv"
+    if scenario is not None:
+        cfg.write_text(scenario)
+    if trajectory is not None:
+        traj.write_text(trajectory)
+    rc, out, err = _run(capsys, [a.format(cfg=cfg) for a in argv])
+    if isinstance(want, str):
+        assert (rc, out) == (1, "")
+        assert err == want.format(cfg=cfg, traj=traj) + "\n"
+    else:
+        assert (rc, err) == (0, "")
+        header, rows = _rows(out)
+        assert header[1] == "q_ref" and [row[1] for row in rows] == want
 
 
 # ------------------------------------------------------------------ general
