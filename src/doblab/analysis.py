@@ -15,7 +15,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  (uncalled; bench/ still times and patches it)
@@ -142,7 +142,7 @@ def _peak_grid(end: float, roots, discrete: bool) -> np.ndarray:
     pts = np.concatenate(
         [[0.0, end], pos, (pos[:, None] - offsets).ravel(), (pos[:, None] + offsets).ravel()]
     )
-    grid = np.unique(pts[(pts >= 0.0) & (pts <= end)])
+    grid = np.sort(pts[(pts >= 0.0) & (pts <= end)])  # the mask drops exact repeats too
     return grid[np.append(np.diff(grid) > 1e-12 * grid[1:], True)]
 
 
@@ -189,7 +189,7 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
     last = len(grid) - 1
     candidates = [(float(grid[i]), float(logs[i]))] + [
         _newton_max(f, float(grid[max(k - 1, 0)]), float(grid[k]), float(grid[min(k + 1, last)]))
-        for k in np.union1d(peaks, [i]).tolist()
+        for k in sorted({*peaks.tolist(), i})
     ]
     x_best, l_best = max(candidates, key=lambda c: c[1])
     m_best = math.exp(l_best)
@@ -249,14 +249,15 @@ def _log_mag_slopes(lead_log: float, zeros, poles, discrete: bool):
     return f
 
 
-def _tanh_sinh_levels() -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
-    """(step h, upper-end mask, signed offset, weight) of the nodes new at each level.
+def _tanh_sinh_passes() -> list[tuple[np.ndarray, np.ndarray, list[tuple[float, np.ndarray]]]]:
+    """(upper-end mask, signed offset, [(step h, weight) of each level]) of each pass.
 
     Level k = 3..8 runs t over [-3.2, 3.2] in steps h = 2^-k, and after the
     first level only the odd multiples of h are new.  With u = (pi/2)sinh t a
     node lies half*2/(1 + e^(2|u|)) from the end of its piece that t's sign
     picks, a distance formed without subtracting from 1, so no node lands on a
-    root at that end; its weight is (pi/2)cosh t / cosh^2 u.
+    root at that end; its weight is (pi/2)cosh t / cosh^2 u.  The first pass
+    holds levels 3 and 4, each level's columns in turn.
     """
     levels = []
     for k in range(3, 9):
@@ -265,11 +266,12 @@ def _tanh_sinh_levels() -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]
         u = 0.5 * math.pi * np.sinh(t)
         dist = 2.0 / (1.0 + np.exp(2.0 * np.abs(u)))
         weight = 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
-        levels.append((2.0**-k, t > 0.0, np.where(t > 0.0, -dist, dist), weight))
-    return levels
+        levels.append((t > 0.0, np.where(t > 0.0, -dist, dist), [(2.0**-k, weight)]))
+    (up3, off3, rule3), (up4, off4, rule4) = levels[:2]
+    return [(np.concatenate([up3, up4]), np.concatenate([off3, off4]), rule3 + rule4), *levels[2:]]
 
 
-_TANH_SINH = _tanh_sinh_levels()
+_TANH_SINH = _tanh_sinh_passes()
 
 
 def _pieces(a: float, b: float, cuts) -> np.ndarray:
@@ -292,12 +294,14 @@ def _integrate_log_mag(lead_log: float, plus_roots, minus_roots, discrete: bool,
     """(integral, error, evaluations) of the factored log-magnitude over the pieces [lo, hi].
 
     The integrand is _log_mag_slopes' value, and the rule is tanh-sinh
-    (Takahasi & Mori).  At each level the new nodes of every unconverged
+    (Takahasi & Mori).  At each pass the new nodes of every unconverged
     piece form one (pieces x nodes) array, and the log terms are added into
-    it root by root.  A piece stops when two levels differ by at most 32 eps
-    times the weighted sum of its terms' sizes, |lead_log| + sum |ln|p - r||
-    + 1, its rounding floor; its error is that difference plus the floor,
-    after level 8 too.  Sums are formed in units of each piece's half-width
+    it root by root.  Level 3 alone never stops a piece, so the first pass
+    holds levels 3 and 4, and each level's estimate is formed from its own
+    columns, bitwise as in a pass of its own.  A piece stops when two levels
+    differ by at most 32 eps times the weighted sum of its terms' sizes,
+    |lead_log| + sum |ln|p - r|| + 1, its rounding floor; its error is that
+    difference plus the floor, after level 8 too.  Sums are formed in units of each piece's half-width
     and scaled last, so a range near the largest double does not overflow
     while its nodes are weighted.  In z, a node's distance to pi is formed
     from the nearer end of its piece, like its angle, and a node past pi/2
@@ -307,7 +311,7 @@ def _integrate_log_mag(lead_log: float, plus_roots, minus_roots, discrete: bool,
     half = 0.5 * (hi - lo)
     total = err = est = size = 0.0
     evaluations = 0
-    for level, (h, upper, offset, weight) in enumerate(_TANH_SINH):
+    for n_pass, (upper, offset, rules) in enumerate(_TANH_SINH):
         end = np.where(upper, hi[:, None], lo[:, None])
         step = half[:, None] * offset
         x = end + step
@@ -329,12 +333,15 @@ def _integrate_log_mag(lead_log: float, plus_roots, minus_roots, discrete: bool,
                     term = np.log(np.maximum(np.abs(p - (r + shift)), 1e-300))
                     f += sign * term
                     mag += np.abs(term)
-            prev, est, size = est, h * (f @ weight) + 0.5 * est, h * (mag @ weight) + 0.5 * size
-            if level == 0:
-                continue
+            col = 0
+            for h, weight in rules:  # each level's columns, coarsest first
+                cols = slice(col, col + weight.size)
+                col += weight.size
+                prev, est = est, h * (f[:, cols] @ weight) + 0.5 * est
+                size = h * (mag[:, cols] @ weight) + 0.5 * size
             diff = np.abs(est - prev)
             floor = 32.0 * math.ulp(1.0) * size
-            done = (diff <= floor) | (level == len(_TANH_SINH) - 1)
+            done = (diff <= floor) | (n_pass == len(_TANH_SINH) - 1)
             total += float(np.sum(half[done] * est[done]))
             err += float(np.sum(half[done] * (diff[done] + floor[done])))
         lo, hi, half, est, size = (v[~done] for v in (lo, hi, half, est, size))
@@ -581,8 +588,13 @@ def audit_outer_gain_condition(p: DObParams, gains: OuterGains) -> OuterGainAudi
 # parameter sweeps
 
 
-@dataclass(frozen=True)
-class RootLocusRow:
+class RootLocusRow(NamedTuple):
+    """One swept value, its closed-loop roots (z for a sampled loop) and their strict verdict.
+
+    stable is classify_roots(roots).is_stable.  A named tuple: a row is
+    immutable and equals the plain tuple (param, roots, stable).
+    """
+
     param: float
     roots: tuple[complex, ...]
     stable: bool
@@ -699,12 +711,7 @@ def root_locus(
             raise _failed(v, exc) from exc
 
     roots, stable = _closed_loop_roots(build, _affine_pencil(build, vals), vals)
-    return RootLocusTable(
-        tuple(
-            RootLocusRow(param=v, roots=tuple(ri), stable=si)
-            for v, ri, si in zip(vals, roots, stable)
-        )
-    )
+    return RootLocusTable(tuple(map(RootLocusRow, vals, map(tuple, roots), stable)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -733,11 +740,12 @@ def _crossings(a: np.ndarray, b: np.ndarray, ts: float | None, lo: float, hi: fl
     and then v = -a(x)/b(x).  With A and B the forms on the edge's real
     variable t (_contour_map), that is where q(t) = Im(A(t)*conj(B(t)))
     vanishes.  q always vanishes at the real points, t = 0 and in z t = inf,
-    which are taken as they are; the rest of q is solved once.  Each real root
-    of q (to 1e-6) gives the edge point r*contour_points(x) - BOUNDARY_TOL
-    (x = |t| and r = 1 in s, x = 2*atan|t| in z) and then v.  Rounding and
-    pairs of roots near the edge give spurious values, so a caller checks
-    the verdict between candidates.
+    which are taken as they are; the rest of q is solved once.  q is odd, as
+    A(-t) = conj A(t), so its real roots come in pairs +-t, and only t >= 0 is
+    kept.  Each real root of q (to 1e-6) gives the edge point
+    r*contour_points(x) - BOUNDARY_TOL (x = t and r = 1 in s, x = 2*atan(t)
+    in z) and then v.  Rounding and pairs of roots near the edge give
+    spurious values, so a caller checks the verdict between candidates.
     """
     discrete = ts is not None
     ab = np.array([a, b]).T
@@ -745,7 +753,7 @@ def _crossings(a: np.ndarray, b: np.ndarray, ts: float | None, lo: float, hi: fl
     ab = _contour_map(len(a) - 1, discrete) @ ab
     q = np.trim_zeros(np.convolve(ab[:, 0], np.conj(ab[:, 1])).imag)
     t = stacked_roots(q[None, :])[0] if len(q) > 1 else np.empty(0, dtype=complex)
-    t = np.abs(t.real[np.abs(t.imag) <= 1e-6 * np.maximum(1.0, np.abs(t))])
+    t = t.real[(np.abs(t.imag) <= 1e-6 * np.maximum(1.0, np.abs(t))) & (t.real >= 0.0)]
     x = np.concatenate([[0.0, math.pi], 2.0 * np.arctan(t)] if discrete else [[0.0], t])
     r = 1.0 - BOUNDARY_TOL if discrete else 1.0
     p = r * contour_points(x, discrete) - BOUNDARY_TOL

@@ -4,9 +4,6 @@ from __future__ import annotations
 
 import enum
 import math
-from fractions import Fraction
-
-import numpy as np
 
 from .lti import Polynomial, RationalTransferFunction
 from .params import OuterGains
@@ -59,32 +56,39 @@ class DiscretizationRule(enum.Enum):
     TUSTIN = "tustin"
 
 
-def _rule_fraction(rule: DiscretizationRule, ts: float):
-    # s is replaced by p(u)/q(u); kept as exact rationals for the clearing
-    t = Fraction(ts)
-    if rule is DiscretizationRule.FORWARD_EULER:
-        return (Fraction(1), Fraction(0)), (t,)
-    if rule is DiscretizationRule.BACKWARD_EULER:
-        return (Fraction(1), Fraction(0)), (t, t)
-    if rule is DiscretizationRule.TUSTIN:
-        return (Fraction(2), Fraction(0)), (t, 2 * t)
-    raise ValueError(f"unknown discretization rule {rule!r}")  # pragma: no cover
+# s = gain*u / (ts*(u + b)), or gain*u/ts where b is None
+_RULES = {
+    DiscretizationRule.FORWARD_EULER: (1, None),
+    DiscretizationRule.BACKWARD_EULER: (1, 1),
+    DiscretizationRule.TUSTIN: (2, 2),
+}
 
 
-def _compose(poly: Polynomial, p_pows, q_pows, order: int) -> Polynomial:
-    """Sum of c_k * p^k * q^(order - k) over the coefficients c_k of s^k.
+def _clear(poly: Polynomial, rule: DiscretizationRule, ts: float, order: int) -> Polynomial:
+    """Sum of c_k * (gain*u)^k * (ts*(u + b))^(order - k) over the coefficients c_k of s^k.
 
-    The powers are Fraction object arrays, so np.convolve and np.polyadd
-    on them are exact and each coefficient is rounded once, at the end.
+    Every float is an int over a power of two (float.as_integer_ratio), so
+    the sum is formed in Python ints over one common power of two, and each
+    coefficient is rounded once, by the correctly rounded int / int.
     """
-    acc = np.array([Fraction(0)], dtype=object)
-    deg = poly.degree
+    gain, b = _RULES[rule]
+    tn, td = ts.as_integer_ratio()
+    terms = []
     for i, c in enumerate(poly.coeffs):
-        k = deg - i
-        if c == 0.0:
-            continue
-        acc = np.polyadd(acc, Fraction(c) * np.convolve(p_pows[k], q_pows[order - k]))
-    return Polynomial(tuple(float(v) for v in acc))
+        if c != 0.0:
+            k = poly.degree - i
+            n, d = c.as_integer_ratio()
+            terms.append((k, n * gain**k * tn ** (order - k), d * td ** (order - k)))
+    scale = max([1] + [d for _, _, d in terms])  # powers of two: every d divides it
+    acc = [0] * (order + 1)
+    for k, n, d in terms:
+        m, n = order - k, n * (scale // d)
+        # (u + b)^m * u^k, aligned at the constant end
+        base = (1,) if b is None else [math.comb(m, j) * b**j for j in range(m + 1)]
+        at = order + 1 - k - len(base)
+        for j, bj in enumerate(base):
+            acc[at + j] += n * bj
+    return Polynomial(tuple(a / scale for a in acc))
 
 
 def substitute(
@@ -95,7 +99,7 @@ def substitute(
     The maps are forward Euler s = u/ts, backward Euler s = u/(ts*(1 + u))
     and Tustin s = 2u/(ts*(u + 2)).  Both polynomials are multiplied through
     by the least common denominator q(u)^N with N = max(deg num, deg den).
-    The clearing runs in exact rational arithmetic and each output
+    The clearing runs in exact integer arithmetic (_clear) and each output
     coefficient is rounded exactly once; nothing is normalized to monic, so
     identities like forward-Euler of a*g/s -> (a*g*ts)/u hold at
     coefficient level.
@@ -104,15 +108,11 @@ def substitute(
         raise ValueError("substitute expects a continuous-time system")
     if not (ts > 0.0 and math.isfinite(ts)):
         raise ValueError("ts must be positive")
-    p, q = (np.array(f, dtype=object) for f in _rule_fraction(rule, ts))
+    if rule not in _RULES:
+        raise ValueError(f"unknown discretization rule {rule!r}")
     order = max(tf_s.num.degree, tf_s.den.degree)
-    one = np.array([Fraction(1)], dtype=object)
-    p_pows, q_pows = [one], [one]
-    for _ in range(order):
-        p_pows.append(np.convolve(p_pows[-1], p))
-        q_pows.append(np.convolve(q_pows[-1], q))
-    num = _compose(tf_s.num, p_pows, q_pows, order)
-    den = _compose(tf_s.den, p_pows, q_pows, order)
+    num = _clear(tf_s.num, rule, float(ts), order)
+    den = _clear(tf_s.den, rule, float(ts), order)
     if den.is_zero:
         raise ValueError("substitution produced a zero denominator")
     return RationalTransferFunction(num, den, ts=ts)

@@ -206,15 +206,18 @@ def outer_loop_dt(p: DObParams, gains: OuterGains) -> LoopSet:
 
     tf_connect multiplies the blocks in u, so L's double pole at z = 1 is
     stored exactly, as u^2, and L carries the blocks' roots: the ZoH zero
-    is u = -2 exactly, and only chi is solved.  A gain that underflows is refused.
+    is u = -2 exactly, and only chi is solved.  A gain that underflows in
+    any coefficient of L's numerator is refused.
     """
     ts = _ideal_velocity(p)
     c = backward_euler_pd(gains, ts)
     ci = ci_compensator_dt(p).tf
     gp = zoh_double_integrator(1.0, ts)
-    if c.num.lead * ci.num.lead * gp.num.lead == 0.0:  # L's numerator would lose its roots
-        raise ValueError(
-            "open-loop gain alpha*(kp + kd/ts)*(1 + g_dob*ts)*ts^2/2 underflows to zero"
-        )
+    # kp > 0 makes every coefficient of L's numerator positive: a zero one underflowed
+    underflow = "open-loop gain alpha*(kp + kd/ts)*(1 + g_dob*ts)*ts^2/2 underflows to zero"
+    if c.num.lead * ci.num.lead * gp.num.lead == 0.0:  # the product could not carry the roots
+        raise ValueError(underflow)
     L = tf_connect(tf_connect(c, ci), gp)
+    if 0.0 in L.num.coeffs:
+        raise ValueError(underflow)
     return LoopSet.from_open_loop(L)

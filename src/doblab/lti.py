@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,7 +53,7 @@ class Polynomial:
     known_roots: tuple[complex, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        c = tuple(float(v) for v in self.coeffs)
+        c = tuple(map(float, self.coeffs))
         if not c:
             c = (0.0,)
         if not all(map(math.isfinite, c)):
@@ -86,19 +87,20 @@ class Polynomial:
         return max(abs(c) for c in self.coeffs)
 
     def __call__(self, x: complex) -> complex:
-        acc = 0j
-        for c in self.coeffs:
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(tuple(np.polyadd(self.coeffs, other.coeffs)))
+        """Coefficientwise, the shorter padded with 0.0 at the top: bitwise np.polyadd."""
+        a, b = self.coeffs, other.coeffs
+        n = max(len(a), len(b))
+        a, b = (0.0,) * (n - len(a)) + a, (0.0,) * (n - len(b)) + b
+        return Polynomial(tuple(map(operator.add, a, b)))
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             both = self.known_roots is not None and other.known_roots is not None
             known = self.known_roots + other.known_roots if both else None  # their union
-            return Polynomial(tuple(np.convolve(self.coeffs, other.coeffs)), known)
+            return Polynomial(np.convolve(self.coeffs, other.coeffs).tolist(), known)
         return Polynomial(tuple(c * float(other) for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -116,12 +118,21 @@ class Polynomial:
         if self.known_roots is not None:
             return self.known_roots
         roots = list(poly_roots(self))
-        slope = Polynomial(tuple(c * k for c, k in zip(self.coeffs, range(self.degree, 0, -1))))
+        slope = [c * k for c, k in zip(self.coeffs, range(self.degree, 0, -1))]
+        if not all(map(math.isfinite, slope)):  # refused like any polynomial's
+            raise ValueError("polynomial coefficients must be finite")
         for i, r in enumerate(roots):
-            res, d = self(r), slope(r)
+            res, d = self(r), _horner(slope, r)
             if d != 0.0 and abs(self(r - res / d)) < abs(res):
                 roots[i] = r - res / d
         return tuple(roots)
+
+
+def _horner(coeffs, x: complex) -> complex:
+    acc = 0j
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
 
 
 def poly_roots(p: Polynomial) -> tuple[complex, ...]:

@@ -13,6 +13,7 @@ from doblab import analysis, lti
 from doblab.analysis import (
     OuterGainAudit,
     PeakSpec,
+    RootLocusRow,
     _contour_positions,
     _integrate_log_mag,
     _pieces,
@@ -448,6 +449,77 @@ def test_integrate_log_mag_against_closed_forms(roots, discrete, b, exact):
     value, err, evaluations = _integrate_log_mag(0.0, roots, (), discrete, lo, hi)
     assert abs(value - exact) <= err <= 1e-13, (value, err)
     assert 0 < evaluations <= 1639 * len(lo)
+
+
+def _reference_levels() -> list:
+    """(step h, upper-end mask, signed offset, weight) of the nodes new at each level 3..8."""
+    levels = []
+    for k in range(3, 9):
+        j = np.arange(-int(3.2 * 2**k), int(3.2 * 2**k) + 1)
+        t = (j if k == 3 else j[j % 2 == 1]) / 2.0**k
+        u = 0.5 * math.pi * np.sinh(t)
+        dist = 2.0 / (1.0 + np.exp(2.0 * np.abs(u)))
+        weight = 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
+        levels.append((2.0**-k, t > 0.0, np.where(t > 0.0, -dist, dist), weight))
+    return levels
+
+
+def _integrate_log_mag_per_level(lead_log, plus_roots, minus_roots, discrete, lo, hi):
+    """_integrate_log_mag evaluated one level per pass: its reference."""
+    levels = _reference_levels()
+    half = 0.5 * (hi - lo)
+    total = err = est = size = 0.0
+    evaluations = 0
+    for level, (h, upper, offset, weight) in enumerate(levels):
+        end = np.where(upper, hi[:, None], lo[:, None])
+        step = half[:, None] * offset
+        x = end + step
+        if discrete:
+            rest = (math.pi - end) - step
+            near = rest < 0.5 * math.pi
+            re = np.where(near, 2.0 * np.sin(0.5 * rest) ** 2, -2.0 * np.sin(0.5 * x) ** 2)
+            p, shift = re + 1j * np.sin(np.minimum(x, rest)), np.where(near, 2.0, 0.0)
+        else:
+            p, shift = 1j * x, 0.0
+        f = np.full(x.shape, lead_log)
+        mag = np.full(x.shape, abs(lead_log) + 1.0)
+        evaluations += x.size
+        with np.errstate(over="ignore", invalid="ignore"):
+            for roots, sign in ((plus_roots, 1.0), (minus_roots, -1.0)):
+                for r in roots:
+                    term = np.log(np.maximum(np.abs(p - (r + shift)), 1e-300))
+                    f += sign * term
+                    mag += np.abs(term)
+            prev, est, size = est, h * (f @ weight) + 0.5 * est, h * (mag @ weight) + 0.5 * size
+            if level == 0:
+                continue
+            diff = np.abs(est - prev)
+            floor = 32.0 * math.ulp(1.0) * size
+            done = (diff <= floor) | (level == len(levels) - 1)
+            total += float(np.sum(half[done] * est[done]))
+            err += float(np.sum(half[done] * (diff[done] + floor[done])))
+        lo, hi, half, est, size = (v[~done] for v in (lo, hi, half, est, size))
+        if not lo.size:
+            break
+    return total, err, evaluations
+
+
+@pytest.mark.parametrize("builder", ["inner-s", "inner-z", "outer-s", "outer-z"])
+def test_integrate_log_mag_is_bitwise_its_per_level_reference(monkeypatch, builder):
+    # levels 3 and 4 share one array pass; (value, error, evaluations) of
+    # every call bode_integral makes stay bitwise those of one pass per level
+    calls = []
+
+    def compared(*args):
+        got, want = _integrate_log_mag(*args), _integrate_log_mag_per_level(*args)
+        calls.append([(value.hex(), error.hex(), n) for value, error, n in (got, want)])
+        return got
+
+    monkeypatch.setattr(analysis, "_integrate_log_mag", compared)
+    for ls in _random_stable_loops(builder, 40, seed=83):
+        bode_integral(ls.L)
+    assert len(calls) == 40
+    assert all(got == want for got, want in calls)
 
 
 def test_bode_integral_counts_its_evaluations():
@@ -960,6 +1032,22 @@ def test_root_locus_single_flip_over_alpha():
     assert table.flip_count() == 1
 
 
+@pytest.mark.parametrize("values", [np.linspace(1.0, 5.0, 9), [1.0, 5.0]], ids=["pencil", "per-point"])
+def test_root_locus_rows_are_named_tuples(values):
+    table = root_locus(_dt_alpha_build, values)
+    row = table.rows[0]
+    assert RootLocusRow._fields == ("param", "roots", "stable")
+    assert type(row.param) is float and type(row.stable) is bool
+    assert type(row.roots) is tuple and all(type(r) is complex for r in row.roots)
+    with pytest.raises(AttributeError):
+        row.stable = not row.stable
+    for v, row in zip(values, table):
+        ls = _dt_alpha_build(float(v))
+        flag = classify_roots(ls.S.poles(), ls.L.ts).is_stable
+        assert row == (float(v), row.roots, flag) == RootLocusRow(*row)
+        assert np.allclose(np.sort_complex(row.roots), np.sort_complex(ls.S.poles()), rtol=1e-9)
+
+
 def _dt_gdob_build(g_dob: float) -> LoopSet:
     return outer_loop_dt(DObParams(alpha=0.01, g_dob=g_dob, ts=1e-3), SWEEP_GAINS)
 
@@ -1343,6 +1431,16 @@ def test_critical_parameter_returns_the_lowest_of_three_crossings(monkeypatch):
     assert _verdict(_three_crossings, crit * (1 - 1e-6))
     assert not _verdict(_three_crossings, crit * (1 + 1e-6))
     assert abs(crit - _bisect_per_point(_three_crossings, 1.0, 5.5)) <= 1e-6 * crit
+
+
+def test_crossings_give_one_candidate_per_crossing():
+    # q(t) is odd, so its real roots pair up as +-t; each pair is one
+    # crossing, and so one candidate, the one that per-point bisection finds
+    pencil = analysis._affine_pencil(_three_crossings, (1.0, 6.5, 12.0))
+    found = analysis._crossings(*pencil, 1.0, 12.0).tolist()
+    assert len(found) == 3
+    for v, (lo, hi) in zip(found, [(1.0, 5.5), (5.5, 8.0), (8.0, 12.0)]):
+        assert abs(v - _bisect_per_point(_three_crossings, lo, hi)) <= 1e-6 * v
 
 
 def test_critical_parameter_on_a_vanishing_crossing_polynomial(monkeypatch):

@@ -212,6 +212,24 @@ def test_freq_refuses_an_open_loop_gain_that_underflows(capsys):
     )
 
 
+@pytest.mark.parametrize("alpha", ["1e-318", "1e-316"])
+def test_freq_refuses_a_numerator_coefficient_that_underflows(capsys, alpha):
+    # the lead of the sampled outer loop's numerator survives, but its
+    # constant coefficient rounds to zero while the blocks' roots stay; at
+    # 1e-300 it does not, and test_freq_dc_row_with_tiny_gain prints that loop
+    rc, out, err = _run(
+        capsys,
+        [
+            "freq", "--domain", "z", "--loop", "outer", "--alpha", alpha, "--gdob", "1e-3",
+            "--ts", "1e-3", "--kp", "1000", "--kd", "250", "--points", "4",
+        ],
+    )
+    assert (rc, out) == (1, "")
+    assert err == (
+        "error: open-loop gain alpha*(kp + kd/ts)*(1 + g_dob*ts)*ts^2/2 underflows to zero\n"
+    )
+
+
 def test_freq_refuses_pole_on_nyquist(capsys):
     # x = 2 puts the inner loop's closed-loop pole at z = -1
     rc, out, err = _run(

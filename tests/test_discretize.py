@@ -1,6 +1,7 @@
 """Discretization maps: exact coefficients, step invariance, DC preservation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -229,3 +230,76 @@ def test_substitute_rounds_each_coefficient_once_against_sympy(rule, ts):
         tf_z = substitute(tf_s, ts, rule)
         assert list(tf_z.num.coeffs) == _sympy_cleared(tf_s.num, p, q, order, u)
         assert list(tf_z.den.coeffs) == _sympy_cleared(tf_s.den, p, q, order, u)
+
+
+def _fraction_substitute(tf_s, ts, rule):
+    """substitute in Fraction object arrays: the rational clearing it replaced, kept as its oracle.
+
+    The rule's s = p(u)/q(u) powers are multiplied by np.convolve and summed
+    by np.polyadd exactly, and Polynomial rounds each Fraction once.
+    """
+    t = Fraction(ts)
+    p, q = {
+        DiscretizationRule.FORWARD_EULER: ((1, 0), (t,)),
+        DiscretizationRule.BACKWARD_EULER: ((1, 0), (t, t)),
+        DiscretizationRule.TUSTIN: ((2, 0), (t, 2 * t)),
+    }[rule]
+    p, q = (np.array([Fraction(c) for c in f], dtype=object) for f in (p, q))
+    order = max(tf_s.num.degree, tf_s.den.degree)
+    p_pows = q_pows = [np.array([Fraction(1)], dtype=object)]
+    for _ in range(order):
+        p_pows = p_pows + [np.convolve(p_pows[-1], p)]
+        q_pows = q_pows + [np.convolve(q_pows[-1], q)]
+
+    def compose(poly):
+        acc = np.array([Fraction(0)], dtype=object)
+        for i, c in enumerate(poly.coeffs):
+            k = poly.degree - i
+            if c != 0.0:
+                acc = np.polyadd(acc, Fraction(c) * np.convolve(p_pows[k], q_pows[order - k]))
+        return Polynomial(tuple(acc))
+
+    num, den = compose(tf_s.num), compose(tf_s.den)
+    if den.is_zero:
+        raise ValueError("substitution produced a zero denominator")
+    return RationalTransferFunction(num, den, ts=ts)
+
+
+def _outcome(fn, tf_s, ts, rule):
+    """repr of both coefficient tuples (signed zeros shown), or the exception type."""
+    try:
+        tf_z = fn(tf_s, ts, rule)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return repr(tf_z.num.coeffs), repr(tf_z.den.coeffs)
+
+
+def _seeded_polynomial_loops(count: int, seed: int) -> list[RationalTransferFunction]:
+    """Continuous loops of degree 0..4 over 0..4, each coefficient zero (either sign) one time in three."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def poly():
+        c = [
+            float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-30, 30))
+            if rng.uniform() < 2 / 3 else float(rng.choice([0.0, -0.0]))
+            for _ in range(rng.integers(1, 6))
+        ]
+        return Polynomial((float(10.0 ** rng.uniform(-30, 30)), *c[1:]))
+
+    return [RationalTransferFunction(poly(), poly()) for _ in range(count)]
+
+
+@pytest.mark.parametrize("rule", list(DiscretizationRule), ids=lambda r: r.value)
+def test_substitute_is_bitwise_the_fraction_clearing(rule):
+    # the integer clearing against the Fraction one it replaced, outcome for
+    # outcome: every coefficient bitwise, signed zeros included, and the same
+    # refusal where a coefficient overflows or the denominator vanishes
+    rng = np.random.Generator(np.random.PCG64(2024))
+    loops = _seeded_ct_loops(60, seed=31) + _seeded_polynomial_loops(60, seed=37)
+    refused = 0
+    for tf_s in loops:
+        for ts in (5e-324, 1e300, 1e-3, float(10.0 ** rng.uniform(-6, -1))):
+            want = _outcome(_fraction_substitute, tf_s, ts, rule)
+            assert _outcome(substitute, tf_s, ts, rule) == want, (tf_s, ts)
+            refused += isinstance(want, type)
+    assert 0 < refused < len(loops) * 4  # both outcomes are exercised

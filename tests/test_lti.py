@@ -76,6 +76,28 @@ def test_polynomial_arithmetic_matches_numpy():
         assert abs(tot) < 1e-10
 
 
+def test_polynomial_sum_and_product_are_bitwise_numpy():
+    # __add__ pads in Python and __mul__ lists np.convolve's result: both are
+    # bitwise np.polyadd and np.convolve, on mixed lengths and signed zeros
+    rng = np.random.Generator(np.random.PCG64(13))
+
+    def draw():
+        n = int(rng.integers(1, 7))
+        c = rng.normal(size=n) * 10.0 ** rng.integers(-5, 6, size=n)
+        zero = rng.uniform(size=n) < 0.3
+        c[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+        return Polynomial(tuple(c.tolist()))
+
+    pairs = [(draw(), draw()) for _ in range(500)]
+    pairs += [(a, Polynomial(tuple(-c for c in a.coeffs))) for a, _ in pairs[:50]]  # exact 0 sums
+    for a, b in pairs:
+        for mine, ref in ((a + b, np.polyadd), (a * b, np.convolve)):
+            assert repr(mine.coeffs) == repr(Polynomial(tuple(ref(a.coeffs, b.coeffs))).coeffs)
+    # a padded top coefficient is 0.0 + c: -0.0 becomes 0.0; an unpadded -0.0 + -0.0 stays
+    assert repr((Polynomial((1.0, -0.0, 2.0)) + Polynomial((3.0,))).coeffs) == "(1.0, 0.0, 5.0)"
+    assert repr((Polynomial((1.0, -0.0)) + Polynomial((1.0, -0.0))).coeffs) == "(2.0, -0.0)"
+
+
 # ---------------------------------------------------------------------------
 # poly_roots
 
