@@ -28,7 +28,7 @@ from .lti import (
     contour_points,
     factored_values,
     is_stable,
-    poly_roots,
+    poly_roots,  # noqa: F401  (uncalled; bench/ still patches it)
     stable_rows,
     stacked_roots,
 )
@@ -65,9 +65,9 @@ PEAK_NEWTON_STEPS = 30
 # it is relative to max(1, the largest root magnitude of S).
 QUAD_ERROR_CEILING = 1e-4
 
-# A sweep is solved as the pencil chi(v) = a + v*b only if a third build
-# matches it to this relative tolerance (of the largest coefficient); the
-# CLI's sweeps match to about 3e-16.
+# A sweep's midpoint build must match the pencil chi(v) = a + v*b of its two
+# ends to this relative tolerance (of the largest coefficient), or the builder
+# is refused; the CLI's sweeps match to about 3e-16.
 PENCIL_RTOL = 1e-12
 
 
@@ -610,40 +610,40 @@ class RootLocusTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def flip_count(self) -> int:
-        """Number of stability transitions along the sweep order."""
-        flags = [row.stable for row in self.rows]
-        return sum(1 for a, b in zip(flags[:-1], flags[1:]) if a != b)
-
 
 def _affine_pencil(
-    build_loop: Callable[[float], LoopSet], probes: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, float | None] | None:
-    """(a, b, ts) when chi(v) = S.den of build_loop(v) is the pencil a + v*b.
+    build_loop: Callable[[float], LoopSet], lo: float, hi: float
+) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """(a, b, ts) such that chi(v) = S.den of build_loop(v) is the pencil a + v*b.
 
-    The loop is built at the first, the last and the middle of probes.  The
-    first and last give a and b; the middle one must match a + v*b within
-    PENCIL_RTOL of the largest coefficient, with the same degree and ts.
-    The leading coefficient must not depend on v, so no swept value can drop
-    the degree.  Anything else returns None, and the caller solves point by
-    point: a builder is never assumed affine without this check.
+    The loop is built at lo, hi and their midpoint; lo and hi give a and b,
+    and a single value (lo == hi) is built once and is its own pencil with
+    b = 0.  The probes must share ts and a degree of at least 1, the leading
+    coefficient must not depend on v (so no value can drop the degree), and
+    the midpoint must match a + v*b within PENCIL_RTOL of the largest
+    coefficient.  A builder that fails a check is refused with a ValueError
+    that names it: a builder is never assumed affine.
     """
-    v0, vm, v1 = probes[0], probes[len(probes) // 2], probes[-1]
-    if len({v0, vm, v1}) < 3:
-        return None
-    loops = [build_loop(v) for v in (v0, vm, v1)]
+    mid = 0.5 * (lo + hi)
+    probes = tuple(dict.fromkeys((lo, hi, mid)))  # each distinct value is built once
+    loops = [build_loop(v) for v in probes]
     ts = loops[0].L.ts
     if any(ls.L.ts != ts for ls in loops):
-        return None
-    c0, cm, c1 = (ls.S.den.coeffs for ls in loops)
-    if not len(c0) == len(cm) == len(c1) >= 2:
-        return None
-    c0, cm, c1 = np.array(c0), np.array(cm), np.array(c1)
-    b = (c1 - c0) / (v1 - v0)
-    a = c0 - v0 * b
-    scale = max(np.abs(c0).max(), np.abs(cm).max(), np.abs(c1).max())
-    if b[0] != 0.0 or np.abs(a + vm * b - cm).max() > PENCIL_RTOL * scale:
-        return None
+        raise ValueError(f"not a pencil: the sample time differs across the probes {probes}")
+    chi = {v: np.array(ls.S.den.coeffs) for v, ls in zip(probes, loops)}
+    degrees = tuple(len(c) - 1 for c in chi.values())
+    if min(degrees) < 1 or len(set(degrees)) > 1:
+        raise ValueError(f"not a pencil: chi has degrees {degrees} at the probes {probes}")
+    c0, cm, c1 = chi[lo], chi[mid], chi[hi]
+    b = (c1 - c0) / ((hi - lo) or 1.0)  # one value: c1 is c0, and b = 0
+    a = c0 - lo * b
+    if b[0] != 0.0:
+        raise ValueError("not a pencil: the leading coefficient of chi depends on the swept value")
+    scale = max(np.abs(c).max() for c in chi.values())
+    off = np.abs(a + mid * b - cm).max() / scale
+    if off > PENCIL_RTOL:
+        raise ValueError(f"not a pencil: chi at the midpoint {mid!r} is off a + v*b by"
+                         f" {off:.3g} of its largest coefficient (PENCIL_RTOL {PENCIL_RTOL:g})")
     return a, b, ts
 
 
@@ -651,40 +651,26 @@ def _failed(v: float, exc: ValueError) -> ValueError:
     return ValueError(f"root locus failed at parameter {v!r}: {exc}")
 
 
-def _closed_loop_roots(
-    build_loop: Callable[[float], LoopSet], pencil, vals: Sequence[float]
-) -> tuple[list, list]:
-    """(roots, stable flags) of chi = S.den at each value.
+def _closed_loop_roots(pencil, vals: Sequence[float]) -> tuple[list, list]:
+    """(roots, stable flags) of the rows a + v*b of a pencil (a, b, ts) from _affine_pencil.
 
-    With a pencil (a, b, ts) from _affine_pencil each row is a + v*b,
-    nothing is built, and stacked_roots and stable_rows solve and classify
-    all rows at once: bitwise poly_roots and classify_roots of each row.
-    Without one each value is built and solved in turn by poly_roots and
-    classify_roots.  A sampled chi is solved in u, and its roots are
-    reported and classified as z = 1 + u.
+    Nothing is built: stacked_roots and stable_rows solve and classify all
+    rows at once, bitwise poly_roots and classify_roots of each row.  A
+    sampled chi is solved in u, and its roots are reported and classified
+    as z = 1 + u.  The first row in sweep order that is not finite is
+    refused.
     """
-    if pencil is not None:
-        a, b, ts = pencil
-        with np.errstate(over="ignore", invalid="ignore"):  # rows are checked next
-            rows = a + np.array(vals)[:, None] * b
-        finite = np.isfinite(rows).all(axis=1)
-        if not finite.all():
-            v = vals[int(np.argmin(finite))]
-            raise _failed(v, ValueError("polynomial coefficients must be finite"))
-        r = stacked_roots(rows)
-        if ts is not None:
-            r = r + 1.0
-        return r.tolist(), stable_rows(r, ts).tolist()
-    roots, stable = [], []
-    for v in vals:
-        ls = build_loop(v)
-        try:
-            r = poly_roots(ls.S.den)
-        except ValueError as exc:
-            raise _failed(v, exc) from exc
-        roots.append(r if ls.L.ts is None else tuple(1.0 + u for u in r))
-        stable.append(classify_roots(roots[-1], ls.L.ts).is_stable)
-    return roots, stable
+    a, b, ts = pencil
+    with np.errstate(over="ignore", invalid="ignore"):  # rows are checked next
+        rows = a + np.array(vals)[:, None] * b
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        v = vals[int(np.argmin(finite))]
+        raise _failed(v, ValueError("polynomial coefficients must be finite"))
+    r = stacked_roots(rows)
+    if ts is not None:
+        r = r + 1.0
+    return r.tolist(), stable_rows(r, ts).tolist()
 
 
 def root_locus(
@@ -694,11 +680,12 @@ def root_locus(
     """Closed-loop roots of 1 + L = 0 for each swept parameter value.
 
     build_loop maps the swept value to its LoopSet; the closed-loop roots are
-    those of the shared S/T denominator chi (_closed_loop_roots).  When chi
-    is affine in the swept value (every sweep the CLI offers), only the probe
-    values of _affine_pencil are built and all rows are solved together, so
-    build_loop must be defined over the whole sweep.  Otherwise every value
-    is built and solved in sweep order.
+    those of the shared S/T denominator chi, which must be affine in the
+    swept value, as in every sweep the CLI offers.  Only the probes of
+    _affine_pencil on the smallest and largest value are built, so
+    build_loop must be defined over that whole range, and all rows are
+    solved together (_closed_loop_roots).  A builder whose chi is not a
+    pencil is refused with a ValueError that names the failed check.
     """
     vals = [float(v) for v in values]
     if not vals:
@@ -710,7 +697,7 @@ def root_locus(
         except ValueError as exc:
             raise _failed(v, exc) from exc
 
-    roots, stable = _closed_loop_roots(build, _affine_pencil(build, vals), vals)
+    roots, stable = _closed_loop_roots(_affine_pencil(build, min(vals), max(vals)), vals)
     return RootLocusTable(tuple(map(RootLocusRow, vals, map(tuple, roots), stable)))
 
 
@@ -769,31 +756,26 @@ def critical_parameter(
 ) -> float:
     """The lowest value in [lo, hi] where the closed-loop verdict flips.
 
-    The endpoints must give opposite closed-loop verdicts.  When chi is affine
-    in the parameter, only the probe values of _affine_pencil (lo, the
-    midpoint and hi) are built, so build_loop must be defined over the whole
-    bracket.  _crossings then gives the values where a root meets the band
+    The endpoints must give opposite closed-loop verdicts, and chi must be
+    affine in the parameter: only the probes of _affine_pencil (lo, hi and
+    the midpoint) are built, so build_loop must be defined over the whole
+    bracket, and a builder that is not a pencil is refused with a
+    ValueError.  _crossings gives the values where a root meets the band
     edge (D-decomposition), and one stacked solve the verdicts at lo, hi and
     the midpoint of each interval between them.  Unless the first interval
     carries lo's verdict and the last hi's, a crossing was missed and
     RuntimeError is raised; else the first value that ends lo's verdict is
-    returned.  Any other builder is bisected to a relative width of 1e-6.
+    returned.
     """
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    pencil = _affine_pencil(build_loop, (lo, 0.5 * (lo + hi), hi))
-    ends = [lo, *_crossings(*pencil, lo, hi).tolist(), hi] if pencil is not None else []
+    pencil = _affine_pencil(build_loop, lo, hi)
+    ends = [lo, *_crossings(*pencil, lo, hi).tolist(), hi]
     mids = [0.5 * (v0 + v1) for v0, v1 in zip(ends[:-1], ends[1:])]
-    flags = _closed_loop_roots(build_loop, pencil, [lo, hi, *mids])[1]
+    flags = _closed_loop_roots(pencil, [lo, hi, *mids])[1]
     s_lo, inside = flags[0], flags[2:]
     if s_lo == flags[1]:
         raise ValueError("bracket endpoints give the same stability verdict")
-    if pencil is not None:
-        if inside[0] != s_lo or inside[-1] == s_lo:
-            raise RuntimeError("a crossing of the stability boundary was missed")
-        return ends[inside.index(not s_lo)]
-    while hi - lo > 1e-6 * max(abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        stays = _closed_loop_roots(build_loop, None, [mid])[1][0] == s_lo
-        lo, hi = (mid, hi) if stays else (lo, mid)
-    return 0.5 * (lo + hi)
+    if inside[0] != s_lo or inside[-1] == s_lo:
+        raise RuntimeError("a crossing of the stability boundary was missed")
+    return ends[inside.index(not s_lo)]

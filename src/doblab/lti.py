@@ -118,12 +118,14 @@ class Polynomial:
         if self.known_roots is not None:
             return self.known_roots
         roots = list(poly_roots(self))
-        slope = [c * k for c, k in zip(self.coeffs, range(self.degree, 0, -1))]
-        if not all(map(math.isfinite, slope)):  # refused like any polynomial's
-            raise ValueError("polynomial coefficients must be finite")
+        # scaled by one power of two below 1, so the slope's c*k cannot
+        # overflow; the scale is exact and common to res and d
+        e = -math.frexp(self.max_abs)[1]
+        p = [math.ldexp(c, e) for c in self.coeffs]
+        slope = [c * k for c, k in zip(p, range(self.degree, 0, -1))]
         for i, r in enumerate(roots):
-            res, d = self(r), _horner(slope, r)
-            if d != 0.0 and abs(self(r - res / d)) < abs(res):
+            res, d = _horner(p, r), _horner(slope, r)
+            if d != 0.0 and abs(_horner(p, r - res / d)) < abs(res):
                 roots[i] = r - res / d
         return tuple(roots)
 

@@ -180,7 +180,7 @@ def test_criterion_4_stability_boundaries(capsys):
 
     crit = critical_parameter(build, 1.0, 3.0)
     if abs(crit - 2.0) > 1e-6 * 2.0:
-        failures.append(f"bisection boundary {crit}, want 2.0 within 1e-6 relative")
+        failures.append(f"critical parameter {crit}, want 2.0 within 1e-6 relative")
 
     # ringing: the closed-loop pole 1-x crosses zero exactly at x = 1
     for x, negative in ((1.0 - 1e-6, False), (1.0 + 1e-6, True)):

@@ -1029,10 +1029,10 @@ def test_root_locus_single_flip_over_alpha():
     table = root_locus(_dt_alpha_build, np.linspace(1.0, 5.0, 41))
     assert table.rows[0].stable
     assert not table.rows[-1].stable
-    assert table.flip_count() == 1
+    assert sum(r0.stable != r1.stable for r0, r1 in zip(table.rows, table.rows[1:])) == 1
 
 
-@pytest.mark.parametrize("values", [np.linspace(1.0, 5.0, 9), [1.0, 5.0]], ids=["pencil", "per-point"])
+@pytest.mark.parametrize("values", [np.linspace(1.0, 5.0, 9), [1.0, 5.0]], ids=["pencil", "two-values"])
 def test_root_locus_rows_are_named_tuples(values):
     table = root_locus(_dt_alpha_build, values)
     row = table.rows[0]
@@ -1066,13 +1066,7 @@ class _Counted:
 
 @pytest.mark.parametrize(
     "build, values",
-    [
-        # chi is quadratic in the swept value, so root_locus must take the
-        # per-point path; alpha = v*v is still linearly spaced over [1, 5],
-        # and g_dob = v*v log-spaced over [1e2, 1e6]
-        (lambda v: _dt_alpha_build(v * v), np.sqrt(np.linspace(1.0, 5.0, 2000))),
-        (lambda v: _dt_gdob_build(v * v), np.logspace(1.0, 3.0, 2000)),
-    ],
+    [(_dt_alpha_build, np.linspace(1.0, 5.0, 2000)), (_dt_gdob_build, np.logspace(2.0, 6.0, 2000))],
     ids=["alpha-linear", "gdob-log"],
 )
 def test_root_locus_stacked_solve_bitwise_equals_per_point(build, values):
@@ -1084,21 +1078,20 @@ def test_root_locus_stacked_solve_bitwise_equals_per_point(build, values):
         comp[1:, :-1] = np.eye(p.degree - 1)
         return np.sort_complex(np.linalg.eigvals(comp))
 
-    counted = _Counted(build)
-    table = root_locus(counted, values)
-    assert counted.calls >= len(values)  # every value was built
+    a, b, ts = analysis._affine_pencil(build, float(values[0]), float(values[-1]))
+    table = root_locus(build, values)
     assert [row.param for row in table] == [float(v) for v in values]
     for row in table:
         # chi is solved in u = z - 1 and its roots are reported as z = 1 + u
-        loops = build(row.param)
-        roots = 1.0 + np.array(poly_roots(loops.S.den))
+        chi = Polynomial(tuple(a + row.param * b))
+        roots = 1.0 + np.array(poly_roots(chi))
         # same values, same order, same signs of zero
         got = np.array(row.roots).tobytes()
         assert got == roots.tobytes()
-        assert got == (1.0 + companion_roots(loops.S.den)).tobytes()
-        assert row.stable == classify_roots(tuple(roots), loops.L.ts).is_stable
+        assert got == (1.0 + companion_roots(chi)).tobytes()
+        assert row.stable == classify_roots(tuple(roots), ts).is_stable
     # both sweeps cross the stability boundary
-    assert table.flip_count() >= 1
+    assert sum(r0.stable != r1.stable for r0, r1 in zip(table.rows, table.rows[1:])) >= 1
 
 
 def _exact_outer_dt_roots(alpha: float, g_dob: float, ts: float = 1e-3):
@@ -1145,7 +1138,7 @@ def test_root_locus_affine_pencil_against_mpmath(build, exact, values):
         loops = build(row.param)
         verdict = classify_roots(loops.S.poles(), loops.L.ts)
         assert row.stable == verdict.is_stable
-    assert table.flip_count() >= 1
+    assert sum(r0.stable != r1.stable for r0, r1 in zip(table.rows, table.rows[1:])) >= 1
     # a 50-digit oracle on every tenth row; measured worst 8.2e-12 (gdob-log
     # near 103, where the per-point path is itself 5.4e-12 away)
     for row in table.rows[::10]:
@@ -1208,7 +1201,7 @@ def test_root_locus_flags_equal_classify_roots_on_seeded_pencils():
             ts_row = build(1.0).L.ts
             for row in table:
                 assert row.stable == classify_roots(row.roots, ts_row).is_stable
-            flips += table.flip_count()
+            flips += sum(r0.stable != r1.stable for r0, r1 in zip(table.rows, table.rows[1:]))
     assert flips >= 20  # most sweeps cross the boundary
 
 
@@ -1236,10 +1229,11 @@ def test_root_locus_annotates_failures():
             )
         return inner_loop_ct(DObParams(alpha=1.0, g_dob=100.0))
 
-    with pytest.raises(ValueError, match=r"failed at parameter 5\.0: undefined roots"):
+    # the probes are 1, 6 and their midpoint 3.5, in that order
+    with pytest.raises(ValueError, match=r"degrees \(1, 0, 0\) at the probes \(1\.0, 6\.0, 3\.5\)"):
         root_locus(static_build, [1.0, 2.0, 5.0, 6.0])
 
-    # an affine sweep whose row for 1e10 overflows; the probes 1, 2 and 4 build
+    # the largest value, a probe, cannot be built: 1e300 * 1e10 overflows
     def huge_build(v: float) -> LoopSet:
         return _pencil_loop(1e300 * v, 1e-3)
 
@@ -1248,18 +1242,15 @@ def test_root_locus_annotates_failures():
 
 
 def test_root_locus_reports_the_first_failure_in_sweep_order():
-    # off the pencil each value is built and solved before the next is built
+    # chi's constant term 1e308*(v - 1) is a + v*b with a = -1e308 and
+    # b = 1e308; every probe builds, but v*b overflows above 1.797, so the
+    # rows for 1.9 and 2 are not finite, and 1.9 comes first
     def build(v: float) -> LoopSet:
-        if v == 2.0:
-            return LoopSet.from_open_loop(
-                RationalTransferFunction(Polynomial((1.0,)), Polynomial((1.0,)))
-            )
-        if v == 4.0:
-            raise ValueError("no loop here")
-        return inner_loop_ct(DObParams(alpha=v * v, g_dob=100.0))
+        return _pencil_loop(1e308 * (v - 1.0), 1e-3)
 
-    with pytest.raises(ValueError, match=r"failed at parameter 2\.0: undefined roots"):
-        root_locus(build, [1.0, 2.0, 3.0, 4.0, 5.0])
+    with pytest.raises(ValueError, match=r"failed at parameter 1\.9: .* must be finite"):
+        root_locus(build, [1.0, 1.5, 1.9, 2.0])
+    assert len(root_locus(build, [1.0, 1.5, 1.75])) == 3
 
 
 def test_root_locus_requires_values():
@@ -1436,7 +1427,7 @@ def test_critical_parameter_returns_the_lowest_of_three_crossings(monkeypatch):
 def test_crossings_give_one_candidate_per_crossing():
     # q(t) is odd, so its real roots pair up as +-t; each pair is one
     # crossing, and so one candidate, the one that per-point bisection finds
-    pencil = analysis._affine_pencil(_three_crossings, (1.0, 6.5, 12.0))
+    pencil = analysis._affine_pencil(_three_crossings, 1.0, 12.0)
     found = analysis._crossings(*pencil, 1.0, 12.0).tolist()
     assert len(found) == 3
     for v, (lo, hi) in zip(found, [(1.0, 5.5), (5.5, 8.0), (8.0, 12.0)]):
@@ -1548,11 +1539,78 @@ def test_critical_parameter_is_where_is_stable_flips_on_seeded_brackets(monkeypa
         ], (lo, hi, crit)
 
 
-def test_critical_parameter_bisects_a_builder_that_is_not_a_pencil():
-    # alpha = v*v makes chi quadratic in v, so _affine_pencil rejects it
+def test_critical_parameter_refuses_a_builder_that_is_not_a_pencil():
+    # alpha = v*v makes chi quadratic in v: the midpoint probe is off the
+    # pencil of the ends, and both sweeps refuse the builder
     def build(v: float) -> LoopSet:
         return _dt_alpha_build(v * v)
 
     lo, hi = 1.0, math.sqrt(5.0)
-    assert analysis._affine_pencil(build, (lo, 0.5 * (lo + hi), hi)) is None
-    assert critical_parameter(build, lo, hi) == _bisect_per_point(build, lo, hi)
+    off = r"not a pencil: chi at the midpoint 1\.618.* is off a \+ v\*b by 0\.0764 .*PENCIL_RTOL"
+    with pytest.raises(ValueError, match=off):
+        critical_parameter(build, lo, hi)
+    with pytest.raises(ValueError, match=off):
+        root_locus(build, np.linspace(lo, hi, 9))
+
+
+@pytest.mark.parametrize(
+    "build, check",
+    [
+        # a continuous loop below 2, a sampled one from 2 on
+        (lambda v: _pencil_loop(v, None if v < 2.0 else 1e-3), "the sample time differs"),
+        # chi = u^2 + u + v below 2, chi = u + 1 + v from 2 on; the probes are 1, 3 and 2
+        (lambda v: _pencil_loop(v, 1e-3) if v < 2.0 else LoopSet.from_open_loop(
+            RationalTransferFunction(Polynomial((v,)), Polynomial((1.0, 1.0)), ts=1e-3)),
+         r"chi has degrees \(2, 1, 1\) at the probes \(1\.0, 3\.0, 2\.0\)"),
+        # chi = v*u^2 + u + 1: the leading coefficient is the swept value
+        (lambda v: LoopSet.from_open_loop(RationalTransferFunction(
+            Polynomial((1.0,)), Polynomial((v, 1.0, 0.0)), ts=1e-3)),
+         "the leading coefficient of chi depends on the swept value"),
+    ],
+    ids=["ts", "degree", "leading-coefficient"],
+)
+def test_sweeps_name_the_pencil_check_a_builder_fails(build, check):
+    # the midpoint check is named in the test just above
+    with pytest.raises(ValueError, match="not a pencil: " + check):
+        root_locus(build, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="not a pencil: " + check):
+        critical_parameter(build, 1.0, 3.0)
+
+
+def test_two_value_sweep_rows_are_the_end_rows_of_a_longer_sweep():
+    # both sweeps take a and b from the same two end builds
+    for build, lo, hi in [(_dt_alpha_build, 1.0, 5.0), (_dt_gdob_build, 1e2, 1e6)]:
+        counted = _Counted(build)
+        two = root_locus(counted, [lo, hi])
+        assert counted.calls == 3  # the ends and their midpoint
+        nine = root_locus(build, np.linspace(lo, hi, 9))
+        for got, want in zip(two, (nine.rows[0], nine.rows[-1])):
+            assert got.param == want.param and got.stable == want.stable
+            assert np.array(got.roots).tobytes() == np.array(want.roots).tobytes()
+
+
+@pytest.mark.parametrize("v", [-0.5, 3.0])
+def test_one_value_sweep_solves_the_built_chi(v):
+    counted = _Counted(lambda a: _dt_alpha_build(abs(a)))
+    (row,) = root_locus(counted, [v])
+    assert counted.calls == 1
+    ls = _dt_alpha_build(abs(v))
+    want = 1.0 + np.array(poly_roots(ls.S.den))
+    assert row.param == v
+    assert np.array(row.roots).tobytes() == want.tobytes()
+    assert row.stable == classify_roots(tuple(want), ls.L.ts).is_stable
+
+
+def test_sweep_takes_its_pencil_from_the_smallest_and_largest_value():
+    probes = []
+
+    def build(v: float) -> LoopSet:
+        probes.append(v)
+        return _dt_alpha_build(v)
+
+    table = root_locus(build, [1.0, 2.0, 1.0])
+    assert probes == [1.0, 2.0, 1.5]
+    ascending = root_locus(_dt_alpha_build, [1.0, 2.0])
+    assert [row.param for row in table] == [1.0, 2.0, 1.0]
+    assert table.rows[0] == table.rows[2] == ascending.rows[0]
+    assert table.rows[1] == ascending.rows[1]

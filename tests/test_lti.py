@@ -158,6 +158,21 @@ def test_roots_against_mpmath_oracle():
         _match_root_sets(mine, oracle, 1e-6 * scale)
 
 
+def test_polished_roots_where_the_slope_coefficient_would_overflow():
+    # the Newton polish's slope has the coefficient 2 * 1e308, past the
+    # largest float; the roots are -5e-309 +- 1e-154j, from the quadratic
+    # formula at 50 digits, and even the subnormal real part is kept
+    with mpmath.workdps(50):
+        a, b, c = (mpmath.mpf(v) for v in (1e308, 1.0, 1.0))
+        d = mpmath.sqrt(b * b - 4 * a * c)
+        want = [complex((-b - d) / (2 * a)), complex((-b + d) / (2 * a))]
+    got = Polynomial((1e308, 1.0, 1.0)).roots
+    assert len(got) == 2
+    for g, w in zip(sorted(got, key=lambda r: r.imag), want):
+        assert abs(g.real - w.real) <= 1e-12 * abs(w.real)
+        assert abs(g.imag - w.imag) <= 4 * math.ulp(abs(w.imag))
+
+
 def test_roots_from_roots_round_trip():
     rng = np.random.Generator(np.random.PCG64(41))
     for _ in range(100):
