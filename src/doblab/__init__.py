@@ -1,114 +1,19 @@
-"""Analysis and simulation toolkit for observer-based servo loops."""
+"""Analysis and simulation toolkit for observer-based servo loops.
 
-from .analysis import (
-    BodeIntegralReport,
-    ConstraintReport,
-    OuterGainAudit,
-    PeakSpec,
-    RootLocusRow,
-    RootLocusTable,
-    audit_outer_gain_condition,
-    bode_integral,
-    check_constraints,
-    critical_parameter,
-    max_bandwidth,
-    nyquist_s_magnitude,
-    nyquist_t_magnitude,
-    root_locus,
-    sensitivity_peak,
-)
-from .discretize import (
-    DiscretizationRule,
-    backward_euler_pd,
-    substitute,
-    zoh_double_integrator,
-)
-from .loops import (
-    CiCompensator,
-    LoopSet,
-    PhaseCharacter,
-    ci_compensator_dt,
-    inner_loop_ct,
-    inner_loop_dt,
-    outer_loop_ct,
-    outer_loop_dt,
-)
-from .lti import (
-    BOUNDARY_TOL,
-    Polynomial,
-    RationalTransferFunction,
-    Stability,
-    StabilityVerdict,
-    classify_roots,
-    is_stable,
-    poly_roots,
-    tf_connect,
-)
-from .params import DObParams, OuterGains, per_sample_gain
-from .sim import (
-    DIVERGENCE_LIMIT,
-    PlantParams,
-    Scenario,
-    SimTrace,
-    Step,
-    Trajectory,
-    aggregate_mismatch,
-    inner_loop_disturbance_oracle,
-    noise_channel_oracle,
-    simulate,
-)
+The package re-exports every module's public names: its ``__all__`` is the
+union of the modules' own ``__all__`` lists.
+"""
+
+from . import analysis, discretize, loops, lti, params, sim
+from .analysis import *  # noqa: F403
+from .discretize import *  # noqa: F403
+from .loops import *  # noqa: F403
+from .lti import *  # noqa: F403
+from .params import *  # noqa: F403
+from .sim import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "DObParams",
-    "OuterGains",
-    "per_sample_gain",
-    "Polynomial",
-    "RationalTransferFunction",
-    "Stability",
-    "StabilityVerdict",
-    "BOUNDARY_TOL",
-    "poly_roots",
-    "tf_connect",
-    "classify_roots",
-    "is_stable",
-    "DiscretizationRule",
-    "substitute",
-    "zoh_double_integrator",
-    "backward_euler_pd",
-    "LoopSet",
-    "PhaseCharacter",
-    "CiCompensator",
-    "inner_loop_ct",
-    "inner_loop_dt",
-    "outer_loop_ct",
-    "outer_loop_dt",
-    "ci_compensator_dt",
-    "PeakSpec",
-    "ConstraintReport",
-    "BodeIntegralReport",
-    "RootLocusRow",
-    "RootLocusTable",
-    "OuterGainAudit",
-    "sensitivity_peak",
-    "bode_integral",
-    "check_constraints",
-    "max_bandwidth",
-    "root_locus",
-    "critical_parameter",
-    "audit_outer_gain_condition",
-    "nyquist_s_magnitude",
-    "nyquist_t_magnitude",
-    "PlantParams",
-    "Step",
-    "Trajectory",
-    "Scenario",
-    "SimTrace",
-    "simulate",
-    "inner_loop_disturbance_oracle",
-    "noise_channel_oracle",
-    "aggregate_mismatch",
-    "DIVERGENCE_LIMIT",
+__all__ = ["__version__"] + [
+    name for mod in (params, lti, discretize, loops, analysis, sim) for name in mod.__all__
 ]

@@ -621,8 +621,9 @@ def _affine_pencil(
     b = 0.  The probes must share ts and a degree of at least 1, the leading
     coefficient must not depend on v (so no value can drop the degree), and
     the midpoint must match a + v*b within PENCIL_RTOL of the largest
-    coefficient.  A builder that fails a check is refused with a ValueError
-    that names it: a builder is never assumed affine.
+    coefficient, which a pencil that overflows does not.  A builder that
+    fails a check is refused with a ValueError that names it: a builder is
+    never assumed affine.
     """
     mid = 0.5 * (lo + hi)
     probes = tuple(dict.fromkeys((lo, hi, mid)))  # each distinct value is built once
@@ -635,13 +636,14 @@ def _affine_pencil(
     if min(degrees) < 1 or len(set(degrees)) > 1:
         raise ValueError(f"not a pencil: chi has degrees {degrees} at the probes {probes}")
     c0, cm, c1 = chi[lo], chi[mid], chi[hi]
-    b = (c1 - c0) / ((hi - lo) or 1.0)  # one value: c1 is c0, and b = 0
-    a = c0 - lo * b
+    scale = max(np.abs(c).max() for c in chi.values())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes off NaN or inf
+        b = (c1 - c0) / ((hi - lo) or 1.0)  # one value: c1 is c0, and b = 0
+        a = c0 - lo * b
+        off = np.abs(a + mid * b - cm).max() / scale
     if b[0] != 0.0:
         raise ValueError("not a pencil: the leading coefficient of chi depends on the swept value")
-    scale = max(np.abs(c).max() for c in chi.values())
-    off = np.abs(a + mid * b - cm).max() / scale
-    if off > PENCIL_RTOL:
+    if not off <= PENCIL_RTOL:
         raise ValueError(f"not a pencil: chi at the midpoint {mid!r} is off a + v*b by"
                          f" {off:.3g} of its largest coefficient (PENCIL_RTOL {PENCIL_RTOL:g})")
     return a, b, ts

@@ -220,20 +220,6 @@ class RationalTransferFunction:
         """Roots of the denominator: s, or z = 1 + u for a sampled system."""
         return self.den.roots if self.ts is None else tuple(1.0 + u for u in self.den.roots)
 
-    def at_frequency(self, omega: float) -> complex:
-        """Evaluate on the frequency contour: s = j*omega or z = exp(j*omega*ts).
-
-        Factored (self.factors) at contour_points, so Nyquist is u = -2; only
-        an exactly zero denominator is refused, as nothing cancels near a pole.
-        """
-        zeros, poles = self.factors
-        x = omega / self.nyquist * math.pi if self.is_discrete else omega
-        pt = np.array(contour_points(x, self.is_discrete))
-        d = factored_values(self.den.lead, poles, pt)
-        if d == 0.0:
-            raise ValueError(f"evaluation at pole: omega={omega!r} rad/s")
-        return complex(factored_values(self.num.lead, zeros, pt) / d)
-
     def __call__(self, point: complex) -> complex:
         """Evaluate at s, or at z for a sampled system, by Horner's method.
 

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .params import DObParams, OuterGains, per_sample_gain
+from .params import DObParams, OuterGains
 
 __all__ = [
     "PlantParams",
@@ -31,8 +30,6 @@ __all__ = [
     "Scenario",
     "SimTrace",
     "simulate",
-    "inner_loop_disturbance_oracle",
-    "noise_channel_oracle",
     "aggregate_mismatch",
     "DIVERGENCE_LIMIT",
 ]
@@ -177,10 +174,6 @@ class SimTrace:
     tau_d_hat: np.ndarray
     diverged_at: int | None
 
-    @property
-    def tracking_error(self) -> np.ndarray:
-        return self.q_ref - self.q
-
     def __len__(self) -> int:
         return len(self.t)
 
@@ -310,46 +303,3 @@ def simulate(sc: Scenario, log_substeps: int = 1) -> SimTrace:
         diverged_at=diverged_at,
     )
 
-
-def inner_loop_disturbance_oracle(
-    p: DObParams, jm: float, disturbance: Sequence[float]
-) -> np.ndarray:
-    """Acceleration response to a sampled load, straight from the loop algebra.
-
-    Direct-form recursion of the disturbance channel (the sensitivity filter
-    scaled by -1/jm): y[k] = (1-x)*y[k-1] - (d[k]-d[k-1])/jm with x the
-    per-sample gain.  Serves as the independent truth for simulate's inner
-    path when the outer loop is opened.
-    """
-    if not jm > 0.0:
-        raise ValueError("jm must be positive")
-    x = per_sample_gain(p)
-    d = np.asarray(disturbance, dtype=float)
-    y = np.empty(len(d))
-    prev_y = 0.0
-    prev_d = 0.0
-    for k in range(len(d)):
-        prev_y = (1.0 - x) * prev_y - (d[k] - prev_d) / jm
-        prev_d = d[k]
-        y[k] = prev_y
-    return y
-
-
-def noise_channel_oracle(p: DObParams, noise: Sequence[float]) -> np.ndarray:
-    """Acceleration response to measured-velocity noise.
-
-    Direct-form recursion of the noise channel (differenced complementary
-    filter): y[k] = (1-x)*y[k-1] - alpha*g_dob*(n[k]-n[k-1]).  The z-1
-    factor kills DC, so constant noise decays to exactly zero.
-    """
-    x = per_sample_gain(p)
-    a_g = p.alpha * p.g_dob
-    n_arr = np.asarray(noise, dtype=float)
-    y = np.empty(len(n_arr))
-    prev_y = 0.0
-    prev_n = 0.0
-    for k in range(len(n_arr)):
-        prev_y = (1.0 - x) * prev_y - a_g * (n_arr[k] - prev_n)
-        prev_n = n_arr[k]
-        y[k] = prev_y
-    return y

@@ -35,10 +35,9 @@ from doblab.sim import (
     Scenario,
     Step,
     Trajectory,
-    inner_loop_disturbance_oracle,
-    noise_channel_oracle,
     simulate,
 )
+from oracles import inner_loop_disturbance_oracle, noise_channel_oracle
 
 TS = 1e-3
 SWEEP_GAINS = OuterGains(kp=1000.0, kd=250.0)
@@ -81,7 +80,7 @@ def test_criterion_1_peak_formulas(capsys):
             )
 
         for name, got in (
-            ("|T(Nyquist)|", abs(ls.T.at_frequency(nyq))),
+            ("|T(Nyquist)|", abs(ls.st_response([nyq])[2][0])),
             ("nyquist_t_magnitude", nyquist_t_magnitude(x)),
         ):
             if abs(got - t_nyq_expect) > 1e-9 * t_nyq_expect:
@@ -273,13 +272,13 @@ def test_criterion_6_servo_properties(capsys):
         )
 
     step_trace = run(tuned, Step(1.0))
-    tail = np.abs(step_trace.tracking_error[-500:])
+    tail = np.abs((step_trace.q_ref - step_trace.q)[-500:])
     if step_trace.diverged_at is not None or np.max(tail) >= 1e-3:
         failures.append(f"tuned step: steady error {np.max(tail)} not below 1e-3")
 
     traj = _smoothstep_trajectory(n, SERVO_TS, rise=0.6, amplitude=1.0)
     traj_trace = run(tuned, traj)
-    tail = np.abs(traj_trace.tracking_error[-500:])
+    tail = np.abs((traj_trace.q_ref - traj_trace.q)[-500:])
     if traj_trace.diverged_at is not None or np.max(tail) >= 1e-3:
         failures.append(f"tuned trajectory: steady error {np.max(tail)} not below 1e-3")
 
@@ -292,8 +291,8 @@ def test_criterion_6_servo_properties(capsys):
     threshold = 1.0 / (1.0 + 5000.0 * SERVO_TS)
     weak = DObParams(alpha=threshold / 100.0, g_dob=5000.0, ts=SERVO_TS)
     weak_trace = run(weak, traj)
-    p2p_weak = float(np.ptp(weak_trace.tracking_error))
-    p2p_tuned = float(np.ptp(traj_trace.tracking_error))
+    p2p_weak = float(np.ptp(weak_trace.q_ref - weak_trace.q))
+    p2p_tuned = float(np.ptp(traj_trace.q_ref - traj_trace.q))
     if weak_trace.diverged_at is not None:
         failures.append("weak-alpha run diverged; expected bounded oscillation")
     elif not p2p_weak > 10.0 * p2p_tuned:

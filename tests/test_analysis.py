@@ -783,10 +783,11 @@ def test_one_solve_per_polynomial(monkeypatch):
     # the verdict, the peak and a contour value all read the same S.factors;
     # S.num is L.den, whose roots the blocks carry, so only chi is solved
     calls = _recorded(monkeypatch, lti, "poly_roots")
-    S = outer_loop_dt(DObParams(alpha=1.0, g_dob=500.0, ts=TS), SWEEP_GAINS).S
+    ls = outer_loop_dt(DObParams(alpha=1.0, g_dob=500.0, ts=TS), SWEEP_GAINS)
+    S = ls.S
     assert is_stable(S).is_stable
     sensitivity_peak(S)
-    S.at_frequency(100.0)
+    ls.st_response([100.0])
     assert calls == [S.den]
 
     # a bare verdict solves the denominator alone
@@ -841,7 +842,7 @@ def test_outer_dt_nyquist_zero_is_exact():
     # at Nyquist; the ZoH block carries it as u = -2 and the products keep it
     for ls in _random_stable_loops("outer-z", 40, seed=19):
         assert -2.0 in ls.T.factors[0]
-        assert ls.T.at_frequency(ls.L.nyquist) == 0.0
+        assert ls.st_response([ls.L.nyquist])[2][0] == 0.0
 
 
 # -------------------------------------------------------------- constraints
@@ -1251,6 +1252,16 @@ def test_root_locus_reports_the_first_failure_in_sweep_order():
     with pytest.raises(ValueError, match=r"failed at parameter 1\.9: .* must be finite"):
         root_locus(build, [1.0, 1.5, 1.9, 2.0])
     assert len(root_locus(build, [1.0, 1.5, 1.75])) == 3
+
+
+def test_root_locus_refuses_a_pencil_that_overflows_between_probes():
+    # the probes -1.5 and 1.5 give chi constant terms of -+1.5e308, whose
+    # difference overflows: the pencil is refused, with no numpy warning
+    def build(v: float) -> LoopSet:
+        return _pencil_loop(1e308 * v, 1e-3)
+
+    with pytest.raises(ValueError, match=r"not a pencil: chi at the midpoint 0\.0 is off a \+ v\*b by nan"):
+        root_locus(build, [0.5, -1.5, 1.5])
 
 
 def test_root_locus_requires_values():

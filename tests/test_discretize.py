@@ -181,6 +181,29 @@ def test_tustin_maps_left_half_plane_inside_disk():
         assert all(abs(p) < 1.0 for p in tf_z.poles())
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        DObParams(alpha=1.0, g_dob=500.0),
+        DObParams(alpha=0.7, g_dob=2000.0, g_v=1000.0),
+        DObParams(alpha=2.5, g_dob=300.0, g_v=5000.0),
+    ],
+    ids=["ideal", "gv-1e3", "gv-5e3"],
+)
+def test_tustin_is_the_continuous_loop_on_the_warped_axis(p):
+    # Tustin's s = (2/ts)(z - 1)/(z + 1) maps z = e^(j*theta) to
+    # s = j*(2/ts)*tan(theta/2); a sampled system is stored in u = z - 1
+    ts = 1e-3
+    L = inner_loop_ct(p).L
+    Lz = substitute(L, ts, DiscretizationRule.TUSTIN)
+    theta = np.linspace(0.01, math.pi - 0.01, 180)
+    u = np.exp(1j * theta) - 1.0
+    s = 1j * (2.0 / ts) * np.tan(0.5 * theta)
+    got = np.polyval(Lz.num.coeffs, u) / np.polyval(Lz.den.coeffs, u)
+    want = np.polyval(L.num.coeffs, s) / np.polyval(L.den.coeffs, s)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-10
+
+
 def _seeded_ct_loops(count: int, seed: int) -> list[RationalTransferFunction]:
     """Open loops of inner_loop_ct and outer_loop_ct in turn, g_v finite or inf."""
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -21,6 +21,16 @@ TRACER = ROOT / "bench" / "tracer.py"
 def test_package_exports_resolve():
     missing = [name for name in doblab.__all__ if not hasattr(doblab, name)]
     assert missing == []
+    assert len(set(doblab.__all__)) == len(doblab.__all__)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "cli"])  # the CLI is not re-exported
+def test_package_reexports_each_module_name(module):
+    # each name is the module's own object: no other star import shadowed it
+    mod = importlib.import_module(f"doblab.{module}")
+    assert [getattr(doblab, name) for name in mod.__all__] == [
+        getattr(mod, name) for name in mod.__all__
+    ]
 
 
 @pytest.mark.parametrize("module", MODULES)

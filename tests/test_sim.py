@@ -17,10 +17,9 @@ from doblab.sim import (
     _plant_step,
     _viscous_decay,
     aggregate_mismatch,
-    inner_loop_disturbance_oracle,
-    noise_channel_oracle,
     simulate,
 )
+from oracles import inner_loop_disturbance_oracle, noise_channel_oracle, step_response_oracle
 
 PLANT = PlantParams(jm=0.003, kt=0.25)
 TUNED = DObParams(alpha=1.0, g_dob=5000.0, ts=1e-4)
@@ -174,6 +173,28 @@ def test_noise_channel_matches_oracle():
     a_sim = np.diff(trace.qdot) / ts
     a_ref = noise_channel_oracle(p, sc.noise_samples())
     assert np.max(np.abs(a_sim - a_ref[:-1])) <= 1e-9
+
+
+def test_step_response_is_the_sampled_t():
+    # ideal velocity, a rigid plant, no load and no noise: the tick positions
+    # are the step response of the sampled T = L/(1 + L), tick for tick
+    rng = np.random.Generator(np.random.PCG64(41))
+
+    def log_uniform(lo, hi):
+        return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
+
+    for _ in range(20):
+        alpha, ts = log_uniform(0.5, 2.0), log_uniform(1e-4, 1e-2)
+        p = DObParams(alpha, log_uniform(0.05, 1.5) / (alpha * ts), ts=ts)
+        wn = log_uniform(0.01, 0.3) / ts
+        gains = OuterGains(kp=wn * wn, kd=log_uniform(0.5, 2.0) * wn)
+        plant = PlantParams(jm=log_uniform(1e-3, 1.0), kt=log_uniform(0.1, 10.0))
+        trace = simulate(
+            Scenario(plant=plant, dob=p, gains=gains, reference=Step(1.0), duration=300 * ts)
+        )
+        y = step_response_oracle(p, gains, 300)
+        assert trace.diverged_at is None and len(trace) == 300
+        assert np.max(np.abs(trace.q - y)) <= 1e-9 * max(1.0, np.max(np.abs(y)))
 
 
 def test_oracles_zero_input():
@@ -360,16 +381,15 @@ def test_first_tick_hand_computed():
     assert trace.qdot[1] == pytest.approx(a0 * 1e-4, rel=1e-12)
 
 
-def test_tracking_error_property():
+def test_trace_length():
     trace = simulate(_step_scenario(duration=0.05))
-    assert np.array_equal(trace.tracking_error, trace.q_ref - trace.q)
     assert len(trace) == 500
 
 
 def test_step_tracking_settles():
     # dominant closed-loop decay is exp(-kd*t/2): ~4e-6 left after 1 s
     trace = simulate(_step_scenario(duration=1.0))
-    tail = trace.tracking_error[-100:]
+    tail = (trace.q_ref - trace.q)[-100:]
     assert np.max(np.abs(tail)) < 1e-3
 
 
