@@ -49,8 +49,6 @@ __all__ = [
     "root_locus",
     "critical_parameter",
     "audit_outer_gain_condition",
-    "nyquist_s_magnitude",
-    "nyquist_t_magnitude",
 ]
 
 # Peak search ties within this relative band resolve to the contour's far
@@ -203,20 +201,6 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
         if m >= floor:
             return w, m
     return (x_best / tf.ts if discrete else x_best), m_best
-
-
-def nyquist_s_magnitude(gain_product: float) -> float:
-    """|S| of the sampled inner loop evaluated exactly at the Nyquist point."""
-    return 2.0 / abs(gain_product - 2.0)
-
-
-def nyquist_t_magnitude(gain_product: float) -> float:
-    """|T| of the sampled inner loop evaluated exactly at the Nyquist point.
-
-    This is the supremum of |T| only for gain_product >= 1; below 1 the
-    closed-loop pole is positive and the supremum is 1, at DC.
-    """
-    return gain_product / abs(gain_product - 2.0)
 
 
 # ---------------------------------------------------------------------------

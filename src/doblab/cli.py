@@ -342,7 +342,9 @@ def _build_parser() -> argparse.ArgumentParser:
     locus.add_argument("--log", action="store_true", help="logarithmic sweep spacing")
     locus.set_defaults(func=_cmd_rootlocus)
 
-    cons = subs.add_parser("constraints", help="design-constraint report")
+    ideal = "assumes ideal velocity: reads only the per-sample gain x = alpha*gdob*ts"
+    cons_help = f"design-constraint report; {ideal}"
+    cons = subs.add_parser("constraints", help=cons_help, description=cons_help)
     cons.add_argument("--alpha", type=float, required=True)
     cons.add_argument("--gdob", type=float, required=True)
     cons.add_argument("--ts", type=float, required=True)
@@ -356,7 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_loop_flags(bode)
     bode.set_defaults(func=_cmd_bode_integral)
 
-    tune = subs.add_parser("tune", help="largest bandwidth meeting the peak budgets")
+    tune_help = f"largest bandwidth meeting the peak budgets; {ideal}"
+    tune = subs.add_parser("tune", help=tune_help, description=tune_help)
     tune.add_argument("--alpha", type=float, required=True)
     tune.add_argument("--ts", type=float, required=True)
     tune.add_argument("--gammaS", type=float, required=True)

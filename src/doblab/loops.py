@@ -24,7 +24,6 @@ back the single printed rational form built here.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -44,18 +43,12 @@ from .params import DObParams, OuterGains, per_sample_gain
 
 __all__ = [
     "LoopSet",
-    "PhaseCharacter",
-    "CiCompensator",
     "inner_loop_ct",
     "inner_loop_dt",
     "outer_loop_ct",
     "outer_loop_dt",
     "ci_compensator_dt",
 ]
-
-# Band around the lead/lag threshold classified as Neutral.
-NEUTRAL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class LoopSet:
@@ -161,44 +154,24 @@ def outer_loop_ct(p: DObParams, gains: OuterGains) -> LoopSet:
     return LoopSet.from_open_loop(L)
 
 
-class PhaseCharacter(enum.Enum):
-    LEAD = "lead"
-    LAG = "lag"
-    NEUTRAL = "neutral"
-
-
-@dataclass(frozen=True)
-class CiCompensator:
-    tf: RationalTransferFunction
-    character: PhaseCharacter
-    threshold: float
-
-
-def ci_compensator_dt(p: DObParams) -> CiCompensator:
-    """Inner-loop reference-channel compensator.
+def ci_compensator_dt(p: DObParams) -> RationalTransferFunction:
+    """Inner-loop reference-channel compensator C_i, for ideal velocity.
 
     C_i(z) = alpha*((1 + g_dob*ts)*z - 1) / (z - (1 - alpha*g_dob*ts)),
-    stored as alpha*((1 + g_dob*ts)*u + g_dob*ts) / (u + x).  Its zero
-    leads the pole exactly when alpha exceeds 1/(1 + g_dob*ts); at the
-    threshold the pair cancels and the block is a pure gain.  It carries
-    its zero -g_dob*ts/(1 + g_dob*ts) and its pole -x.
+    stored as alpha*((1 + g_dob*ts)*u + g_dob*ts) / (u + x).  It carries
+    its zero -g_dob*ts/(1 + g_dob*ts) and its pole -x.  The zero leads the
+    pole (the pole is the farther from u = 0) exactly when
+    alpha > 1/(1 + g_dob*ts); below that it lags, and at the threshold the
+    pair cancels and the block is a pure gain.
     """
     ts = p.require_ts()
     g_ts = p.g_dob * ts
     x = per_sample_gain(p)
-    tf = RationalTransferFunction(
+    return RationalTransferFunction(
         Polynomial((p.alpha * (1.0 + g_ts), p.alpha * g_ts), (-g_ts / (1.0 + g_ts),)),
         Polynomial((1.0, x), (-x,)),
         ts=ts,
     )
-    threshold = 1.0 / (1.0 + g_ts)
-    if abs(p.alpha - threshold) <= NEUTRAL_TOL:
-        character = PhaseCharacter.NEUTRAL
-    elif p.alpha > threshold:
-        character = PhaseCharacter.LEAD
-    else:
-        character = PhaseCharacter.LAG
-    return CiCompensator(tf, character, threshold)
 
 
 def outer_loop_dt(p: DObParams, gains: OuterGains) -> LoopSet:
@@ -211,7 +184,7 @@ def outer_loop_dt(p: DObParams, gains: OuterGains) -> LoopSet:
     """
     ts = _ideal_velocity(p)
     c = backward_euler_pd(gains, ts)
-    ci = ci_compensator_dt(p).tf
+    ci = ci_compensator_dt(p)
     gp = zoh_double_integrator(1.0, ts)
     # kp > 0 makes every coefficient of L's numerator positive: a zero one underflowed
     underflow = "open-loop gain alpha*(kp + kd/ts)*(1 + g_dob*ts)*ts^2/2 underflows to zero"

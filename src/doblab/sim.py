@@ -30,7 +30,6 @@ __all__ = [
     "Scenario",
     "SimTrace",
     "simulate",
-    "aggregate_mismatch",
     "DIVERGENCE_LIMIT",
 ]
 
@@ -176,13 +175,6 @@ class SimTrace:
 
     def __len__(self) -> int:
         return len(self.t)
-
-
-def aggregate_mismatch(jn: float, ktn: float, jm: float, kt: float) -> float:
-    """Single mismatch ratio combining inertia and torque-constant errors."""
-    if min(jn, ktn, jm, kt) <= 0.0:
-        raise ValueError("plant and nominal constants must be positive")
-    return (kt * jn) / (ktn * jm)
 
 
 def _viscous_decay(jm, b, dt):

@@ -18,7 +18,6 @@ from doblab.analysis import (
     audit_outer_gain_condition,
     bode_integral,
     critical_parameter,
-    nyquist_t_magnitude,
     root_locus,
     sensitivity_peak,
 )
@@ -37,7 +36,7 @@ from doblab.sim import (
     Trajectory,
     simulate,
 )
-from oracles import inner_loop_disturbance_oracle, noise_channel_oracle
+from oracles import inner_loop_disturbance_oracle, noise_channel_oracle, nyquist_t_magnitude
 
 TS = 1e-3
 SWEEP_GAINS = OuterGains(kp=1000.0, kd=250.0)

@@ -22,8 +22,6 @@ from doblab.analysis import (
     check_constraints,
     critical_parameter,
     max_bandwidth,
-    nyquist_s_magnitude,
-    nyquist_t_magnitude,
     root_locus,
     sensitivity_peak,
 )
@@ -39,6 +37,7 @@ from doblab.lti import (
     poly_roots,
 )
 from doblab.params import DObParams, OuterGains
+from oracles import nyquist_s_magnitude, nyquist_t_magnitude
 
 TS = 1e-3
 SWEEP_GAINS = OuterGains(kp=1000.0, kd=250.0)

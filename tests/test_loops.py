@@ -20,7 +20,6 @@ from doblab.lti import (
 )
 from doblab.loops import (
     LoopSet,
-    PhaseCharacter,
     ci_compensator_dt,
     inner_loop_ct,
     inner_loop_dt,
@@ -239,26 +238,34 @@ def test_dt_poles_approach_sampled_ct_poles():
 # ------------------------------------------------------------- compensator
 
 
+def _ci_roots(p):
+    """C_i's carried zero and pole, in u = z - 1."""
+    ci = ci_compensator_dt(p)
+    (zero,), (pole,) = ci.num.known_roots, ci.den.known_roots
+    return zero, pole
+
+
 def test_ci_compensator_coefficients():
     # alpha*((1 + g*ts)*u + g*ts)/(u + x) in u = z - 1
     p = DObParams(alpha=1.0, g_dob=500.0, ts=1e-3)
     x = (1.0 * 500.0) * 1e-3
     ci = ci_compensator_dt(p)
-    assert ci.tf.num.coeffs == (1.0 * (1.0 + 500.0 * 1e-3), 1.0 * (500.0 * 1e-3))
-    assert ci.tf.den.coeffs == (1.0, x)
-    assert ci.threshold == pytest.approx(1.0 / 1.5, rel=1e-15)
+    assert ci.num.coeffs == (1.0 * (1.0 + 500.0 * 1e-3), 1.0 * (500.0 * 1e-3))
+    assert ci.den.coeffs == (1.0, x)
+    # zero -g*ts/(1 + g*ts) and pole -x
+    assert _ci_roots(p) == (pytest.approx(-0.5 / 1.5, rel=1e-15), -x)
 
 
 def test_ci_compensator_phase_classification():
+    # lead: the pole is farther from u = 0 than the zero; lag: the reverse
     g, ts = 500.0, 1e-3
     threshold = 1.0 / (1.0 + g * ts)
-    assert ci_compensator_dt(DObParams(alpha=1.0, g_dob=g, ts=ts)).character is PhaseCharacter.LEAD
-    assert ci_compensator_dt(DObParams(alpha=0.5, g_dob=g, ts=ts)).character is PhaseCharacter.LAG
-    at = ci_compensator_dt(DObParams(alpha=threshold, g_dob=g, ts=ts))
-    assert at.character is PhaseCharacter.NEUTRAL
+    zero, pole = _ci_roots(DObParams(alpha=1.0, g_dob=g, ts=ts))
+    assert abs(pole) > abs(zero)
+    zero, pole = _ci_roots(DObParams(alpha=0.5, g_dob=g, ts=ts))
+    assert abs(pole) < abs(zero)
     # at the threshold the zero cancels the pole: C_i collapses to a gain
-    zero = at.tf.num.coeffs[1] / -at.tf.num.coeffs[0]
-    pole = -per_sample_gain(DObParams(alpha=threshold, g_dob=g, ts=ts))
+    zero, pole = _ci_roots(DObParams(alpha=threshold, g_dob=g, ts=ts))
     assert zero == pytest.approx(pole, rel=1e-12)
 
 
@@ -268,12 +275,12 @@ def test_ci_lead_iff_alpha_above_threshold_random():
         g = float(10.0 ** rng.uniform(1, 4))
         ts = float(rng.choice([1e-4, 1e-3]))
         alpha = float(10.0 ** rng.uniform(-2, 1))
-        ci = ci_compensator_dt(DObParams(alpha=alpha, g_dob=g, ts=ts))
+        zero, pole = _ci_roots(DObParams(alpha=alpha, g_dob=g, ts=ts))
         threshold = 1.0 / (1.0 + g * ts)
         if alpha > threshold * (1.0 + 1e-9):
-            assert ci.character is PhaseCharacter.LEAD
+            assert abs(pole) > abs(zero)
         elif alpha < threshold * (1.0 - 1e-9):
-            assert ci.character is PhaseCharacter.LAG
+            assert abs(pole) < abs(zero)
 
 
 # ------------------------------------------------------------ S+T identity
@@ -483,7 +490,7 @@ def test_stated_roots_match_the_coefficients():
             tfs = [
                 zoh_double_integrator(lg(-1, 1), ts),
                 backward_euler_pd(gains, ts),
-                ci_compensator_dt(pz).tf,
+                ci_compensator_dt(pz),
                 inner_loop_dt(pz).L,
                 inner_loop_ct(ideal).L,
                 inner_loop_ct(filtered).L,

@@ -1,6 +1,8 @@
 """Servo simulation: oracle equivalence, determinism, divergence, and logging."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +18,15 @@ from doblab.sim import (
     Trajectory,
     _plant_step,
     _viscous_decay,
-    aggregate_mismatch,
     simulate,
 )
-from oracles import inner_loop_disturbance_oracle, noise_channel_oracle, step_response_oracle
+import oracles
+from oracles import (
+    inner_loop_disturbance_oracle,
+    load_response_oracle,
+    noise_channel_oracle,
+    step_response_oracle,
+)
 
 PLANT = PlantParams(jm=0.003, kt=0.25)
 TUNED = DObParams(alpha=1.0, g_dob=5000.0, ts=1e-4)
@@ -123,14 +130,6 @@ def test_reference_and_noise_samples():
     assert not np.array_equal(n1, other.noise_samples())
 
 
-def test_aggregate_mismatch():
-    assert aggregate_mismatch(0.006, 0.25, 0.003, 0.25) == pytest.approx(2.0, rel=1e-15)
-    # nominal torque constant error folds into the same ratio
-    assert aggregate_mismatch(0.003, 0.5, 0.003, 0.25) == pytest.approx(0.5, rel=1e-15)
-    with pytest.raises(ValueError, match="positive"):
-        aggregate_mismatch(0.0, 0.25, 0.003, 0.25)
-
-
 # --------------------------------------------------------- oracle equality
 
 
@@ -195,6 +194,43 @@ def test_step_response_is_the_sampled_t():
         y = step_response_oracle(p, gains, 300)
         assert trace.diverged_at is None and len(trace) == 300
         assert np.max(np.abs(trace.q - y)) <= 1e-9 * max(1.0, np.max(np.abs(y)))
+
+
+def test_load_response_is_the_sampled_load_channel():
+    # ideal velocity, the reference at 0 and one load step at tick k0: the
+    # tick positions are the load channel -(1/jm) G_p S_i S_o, tick for tick.
+    # An oracle whose g_dob is off by 1e-6 relative misses the bound
+    rng = np.random.Generator(np.random.PCG64(43))
+
+    def log_uniform(lo, hi):
+        return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
+
+    for _ in range(20):
+        alpha, ts = log_uniform(0.5, 2.0), log_uniform(1e-4, 1e-2)
+        p = DObParams(alpha, log_uniform(0.05, 1.5) / (alpha * ts), ts=ts)
+        wn = log_uniform(0.01, 0.3) / ts
+        gains = OuterGains(kp=wn * wn, kd=log_uniform(0.5, 2.0) * wn)
+        jm, k0, d = log_uniform(1e-3, 1.0), int(rng.integers(0, 100)), log_uniform(0.01, 10.0)
+        plant = PlantParams(jm=jm, kt=log_uniform(0.1, 10.0), external_load=((k0 * ts, d),))
+        trace = simulate(
+            Scenario(plant=plant, dob=p, gains=gains, reference=Step(0.0), duration=300 * ts)
+        )
+        load = np.where(np.arange(300) >= k0, d, 0.0)
+        assert trace.tau_d.tolist() == load.tolist()
+        y = load_response_oracle(p, gains, jm, load)
+        assert trace.diverged_at is None and len(trace) == 300
+        bound = 1e-9 * np.max(np.abs(y))
+        assert np.max(np.abs(trace.q - y)) <= bound
+        off = DObParams(p.alpha, p.g_dob * (1.0 + 1e-6), ts=ts)
+        assert np.max(np.abs(trace.q - load_response_oracle(off, gains, jm, load))) > bound
+
+
+def test_oracles_import_only_params():
+    # the oracles share no code with what they check
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert {m for m in imported if m.partition(".")[0] == "doblab"} == {"doblab.params"}
 
 
 def test_oracles_zero_input():
