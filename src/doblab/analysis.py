@@ -26,7 +26,6 @@ from .lti import (
     Stability,
     classify_roots,
     contour_points,
-    factored_values,
     is_stable,
     poly_roots,  # noqa: F401  (uncalled; bench/ still patches it)
     stable_rows,
@@ -125,13 +124,11 @@ def _contour_end(roots, discrete: bool) -> float:
 
 
 def _peak_grid(end: float, roots, discrete: bool) -> np.ndarray:
-    """0, end and each root's anchors, sorted, inside [0, end].
+    """0, end and each root's anchors, sorted and distinct, inside [0, end].
 
     A root's anchors are its position pos and pos +- dist*2^k for k from -3
     until the offset passes end, so its peak is resolved at every scale from
-    dist/8 up.  A point within 1e-12 (relative) below the next is dropped:
-    two nearly equal roots give anchors an ulp apart, and a maximum
-    bracketed by its twin could not be refined past it.
+    dist/8 up.
     """
     pos, dist = np.array(_contour_positions(roots, discrete), dtype=float).reshape(-1, 2).T
     positive = dist[dist > 0.0]
@@ -140,8 +137,7 @@ def _peak_grid(end: float, roots, discrete: bool) -> np.ndarray:
     pts = np.concatenate(
         [[0.0, end], pos, (pos[:, None] - offsets).ravel(), (pos[:, None] + offsets).ravel()]
     )
-    grid = np.sort(pts[(pts >= 0.0) & (pts <= end)])  # the mask drops exact repeats too
-    return grid[np.append(np.diff(grid) > 1e-12 * grid[1:], True)]
+    return np.unique(pts[(pts >= 0.0) & (pts <= end)])
 
 
 def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
@@ -149,13 +145,14 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
 
     Requires a strictly stable proper system, and never refuses one.  The
     verdict is is_stable's, and the magnitude comes from tf.factors alone
-    (roots in the stored u = z - 1 for sampled systems):
-    lti.factored_values on _peak_grid (DC, _contour_end and each root's
-    anchors), then safeguarded Newton on the analytic slope of the
-    log-magnitude (_log_mag_slopes, _newton_max) from every grid point above
-    both neighbours and from the grid's best point, each bracketed by its
-    grid neighbours.  The best point evaluated wins, so a maximum outside the
-    grid's best basin is found.
+    (roots in the stored u = z - 1 for sampled systems).  One array pass
+    gives the analytic slope of the log-magnitude on _peak_grid (DC,
+    _contour_end and each root's anchors) and its values at the grid's ends.
+    A continuous slope that turns from rising to not rising between two grid
+    points brackets a maximum (a zero on the contour at a grid point rises to
+    its right and falls to its left); safeguarded Newton (_log_mag_slopes,
+    _newton_max) refines each from where the slope's chord crosses zero (or
+    the midpoint), and the best point evaluated wins.
 
     One end rule serves both domains: an end of the contour within
     PEAK_TIE_RTOL (relative) of the best magnitude wins, the far end first,
@@ -176,28 +173,29 @@ def sensitivity_peak(tf: RationalTransferFunction) -> tuple[float, float]:
 
     roots = (*zeros, *poles)
     grid = _peak_grid(_contour_end(roots, discrete), roots, discrete)
-    pts = contour_points(grid, discrete)
-    ratio = factored_values(tf.num.lead, zeros, pts) / factored_values(tf.den.lead, poles, pts)
-    with np.errstate(divide="ignore"):  # a zero on a grid point gives -inf
-        logs = np.log(np.abs(ratio))
     lead_ratio = abs(tf.num.lead / tf.den.lead)
     f = _log_mag_slopes(math.log(lead_ratio), zeros, poles, discrete)
-    i = int(np.argmax(logs))
-    peaks = np.flatnonzero((logs[1:-1] > logs[:-2]) & (logs[1:-1] > logs[2:])) + 1
-    last = len(grid) - 1
-    candidates = [(float(grid[i]), float(logs[i]))] + [
-        _newton_max(f, float(grid[max(k - 1, 0)]), float(grid[k]), float(grid[min(k + 1, last)]))
-        for k in sorted({*peaks.tolist(), i})
-    ]
-    x_best, l_best = max(candidates, key=lambda c: c[1])
+    p = contour_points(grid, discrete)
+    sign = np.array([1.0] * len(zeros) + [-1.0] * len(poles))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero on the contour at a grid point
+        d = p - np.array(roots)[:, None]  # (root, grid point)
+        ends = math.log(lead_ratio) + sign @ np.log(np.abs(d[:, [0, -1]]))
+        slope = sign @ ((1j * (1.0 + p) if discrete else 1j) / d).real
+    # there the slope is NaN, which counts as rising to the right and falling to the left
+    candidates = []
+    for k in np.flatnonzero(~(slope[:-1] <= 0.0) & ~(slope[1:] > 0.0)).tolist():
+        (lo, hi), (g_lo, g_hi) = grid[k : k + 2].tolist(), slope[k : k + 2].tolist()
+        x = lo + (hi - lo) * (g_lo / (g_lo - g_hi))  # where the chord crosses zero, or NaN
+        candidates.append(_newton_max(f, lo, x if lo <= x <= hi else 0.5 * (lo + hi), hi))
+    x_best, l_best = max(candidates, key=lambda c: c[1], default=(0.0, -math.inf))
     m_best = math.exp(l_best)
 
-    if discrete:
-        far = math.exp(logs[-1])
-    else:
+    dc, far = (math.exp(v) for v in ends.tolist())
+    if not discrete:
         far = lead_ratio if tf.num.degree == tf.den.degree else 0.0
-    floor = m_best - PEAK_TIE_RTOL * max(m_best, 1e-300)
-    for w, m in ((far_w, far), (0.0, math.exp(logs[0]))):
+    top = max(m_best, far, dc)
+    floor = top - PEAK_TIE_RTOL * max(top, 1e-300)
+    for w, m in ((far_w, far), (0.0, dc)):
         if m >= floor:
             return w, m
     return (x_best / tf.ts if discrete else x_best), m_best
@@ -213,8 +211,9 @@ def _log_mag_slopes(lead_log: float, zeros, poles, discrete: bool):
     p = contour_points(x): with p' = dp/dx (j(1 + p) in z, j in s) and p'' its
     derivative (-(1 + p) in z, 0 in s), each root adds +-ln|p - r|, its slope
     Re(p'/(p - r)) and its curvature Re(p''/(p - r) - (p'/(p - r))^2).  The
-    scalar form of the peak's Newton refinement; _integrate_log_mag sums the
-    same log terms over arrays of nodes.
+    scalar form of the peak's Newton refinement; sensitivity_peak forms the
+    same slopes over its grid, and _integrate_log_mag the same log terms over
+    arrays of nodes.
     """
     signed = [(r, 1.0) for r in zeros] + [(r, -1.0) for r in poles]
 

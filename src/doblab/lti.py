@@ -86,9 +86,6 @@ class Polynomial:
     def max_abs(self) -> float:
         return max(abs(c) for c in self.coeffs)
 
-    def __call__(self, x: complex) -> complex:
-        return _horner(self.coeffs, x)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         """Coefficientwise, the shorter padded with 0.0 at the top: bitwise np.polyadd."""
         a, b = self.coeffs, other.coeffs
@@ -228,11 +225,11 @@ class RationalTransferFunction:
         evaluating essentially on top of a pole would return noise, not data.
         """
         x = point - 1.0 if self.is_discrete else point
-        d = self.den(x)
+        d = _horner(self.den.coeffs, x)
         scale = self.den.max_abs * max(1.0, abs(x)) ** self.den.degree
         if abs(d) <= POLE_EVAL_TOL * scale:
             raise ValueError(f"evaluation at pole: point={x!r}")
-        return self.num(x) / d
+        return _horner(self.num.coeffs, x) / d
 
 
 def tf_connect(

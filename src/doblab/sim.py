@@ -208,7 +208,9 @@ def simulate(sc: Scenario, log_substeps: int = 1) -> SimTrace:
 
     Reference, load and noise are sampled for every tick before the loop,
     which carries only the controller recurrence and the exact plant step
-    and records the tick state, the command and the estimate.
+    and records the tick state, the command and the estimate.  Tick k holds
+    the load in effect at (k + 1e-9)*ts, so a load time within 1e-9*ts after
+    a tick, such as 0.003 against the rounded 10*3e-4, starts on that tick.
     The loop stops at the first tick whose |q| exceeds DIVERGENCE_LIMIT; the
     computed columns hold NaN from that tick's row on.  Held columns (q_ref,
     tau_d, u, tau_d_hat) repeat each tick's value over its rows.
@@ -225,7 +227,7 @@ def simulate(sc: Scenario, log_substeps: int = 1) -> SimTrace:
     n = sc.n_steps
     m = log_substeps
     refs = sc.reference_samples()
-    loads = sc.plant.load_at(np.arange(n) * ts)
+    loads = sc.plant.load_at((np.arange(n) + 1e-9) * ts)
 
     jm, kt, b = sc.plant.jm, sc.plant.kt, sc.plant.viscous
     # the mismatch ratio is realized through the nominal inertia; the nominal

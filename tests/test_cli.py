@@ -535,6 +535,39 @@ def test_rootlocus_log_spacing(capsys):
     assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
 
 
+@pytest.mark.parametrize("loop", ["inner", "outer"])
+@pytest.mark.parametrize("gv", ["inf", "3000"], ids=["ideal-gv", "finite-gv"])
+@pytest.mark.parametrize(
+    "sweep",
+    [["alpha", "--start", "0.1", "--stop", "10"], ["gdob", "--start", "10", "--stop", "1e5", "--log"]],
+    ids=["alpha", "gdob-log"],
+)
+def test_rootlocus_continuous_rows_are_the_built_loops(capsys, loop, gv, sweep):
+    # each printed row holds the roots of chi of the loop built at its value,
+    # and the verdict of that loop's S; with kd = 1 the outer alpha sweeps
+    # also print unstable rows
+    args = [
+        "rootlocus", "--domain", "s", "--loop", loop, "--alpha", "1", "--gdob", "500",
+        "--gv", gv, "--kp", "1000", "--kd", "1", "--sweep", *sweep, "--count", "41",
+    ]
+    rc, out, err = _run(capsys, args)
+    assert rc == 0 and err == ""
+    _, rows = _rows(out)
+    assert len(rows) == 41
+    for row in rows:
+        flags = {"alpha": 1.0, "g_dob": 500.0, sweep[0].replace("gdob", "g_dob"): float(row[0])}
+        p = doblab.DObParams(**flags, g_v=float(gv))
+        gains = doblab.OuterGains(kp=1000.0, kd=1.0)
+        ls = doblab.inner_loop_ct(p) if loop == "inner" else doblab.outer_loop_ct(p, gains)
+        got = [complex(float(re), float(im)) for re, im in zip(row[1:-1:2], row[2:-1:2])]
+        pool = list(np.roots(ls.S.den.coeffs))
+        assert len(got) == len(pool)
+        for r in got:
+            j = min(range(len(pool)), key=lambda i: abs(pool[i] - r))
+            assert abs(pool.pop(j) - r) <= 1e-10 * max(1.0, abs(r)), (row, r)
+        assert row[-1] == str(int(doblab.is_stable(ls.S).is_stable)), row
+
+
 def test_rootlocus_rejects_bad_range(capsys):
     rc, _, err = _run(
         capsys,
@@ -597,6 +630,18 @@ def test_simulate_step_scenario(tmp_path, capsys):
     # the load engages at t = 0.004
     assert float(rows[40][5]) == 0.5
     assert all(float(r[1]) == 1.0 for r in rows)
+
+
+def test_simulate_load_starts_on_its_decimal_tick(tmp_path, capsys):
+    # tick 10 is at 10*3e-4 = 0.0029999999999999996, an ulp below the load
+    # time 0.003; the load still starts on that tick
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SERVO_BASE.replace("ts = 1e-4", "ts = 3e-4") + "load = 0.003:1.0\n")
+    rc, out, err = _run(capsys, ["simulate", "--scenario", str(cfg)])
+    assert rc == 0 and err == ""
+    _, rows = _rows(out)
+    assert rows[10][0] == "0.0029999999999999996"
+    assert [float(r[5]) for r in rows[9:12]] == [0.0, 1.0, 1.0]
 
 
 def test_simulate_trajectory_relative_path(tmp_path, capsys):

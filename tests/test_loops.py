@@ -357,7 +357,7 @@ def test_array_evaluation_matches_scalar_path(x, ts, alpha, g, gv, gains):
                 else 1j * float(w)
                 for w in om
             ]
-            want = np.array([tf.num(p) / tf.den(p) for p in pts])
+            want = np.polyval(tf.num.coeffs, pts) / np.polyval(tf.den.coeffs, pts)
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
         _assert_s_plus_t_is_one(s_vals, t_vals)
 

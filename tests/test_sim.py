@@ -2,6 +2,7 @@
 
 import ast
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,28 @@ def test_load_at_semantics():
         loads = p.load_at(times)
         assert loads.shape == times.shape
         assert loads.tolist() == [p.load_at(float(t)) for t in times]
+
+
+@pytest.mark.parametrize("ts", [1e-4, 3e-4, 7e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("written", ["decimal", "product"])
+def test_loads_start_on_the_tick_they_are_written_for(ts, written):
+    # a load at tick k, written as the decimal k*ts (0.003 for k = 10 and
+    # ts = 3e-4) or as the float product k*ts, starts on tick k; 1 715 of the
+    # decimals at ts = 3e-4 and 210 at 7e-4 lie just above the float product
+    n = 3000
+    if written == "decimal":
+        times = [float(Fraction(k) * Fraction(str(ts))) for k in range(1, n)]
+    else:
+        times = [k * ts for k in range(1, n)]
+    torques = [1e-3 * k for k in range(1, n)]
+    sc = Scenario(
+        plant=PlantParams(jm=0.003, kt=0.25, external_load=tuple(zip(times, torques))),
+        dob=DObParams(alpha=1.0, g_dob=0.5 / ts, ts=ts),
+        gains=None,
+        reference=Step(0.0),
+        duration=n * ts,
+    )
+    assert simulate(sc).tau_d.tolist() == [0.0] + torques
 
 
 def test_reference_and_noise_samples():
@@ -294,7 +317,7 @@ def _reference_trace(sc, m):
         ref = float(refs[k])
         load = 0.0
         for when, torque in plant.external_load:
-            if when <= k * ts:
+            if when <= (k + 1e-9) * ts:
                 load = torque
         if diverged_at is None and abs(q) > DIVERGENCE_LIMIT:
             diverged_at = k * m
